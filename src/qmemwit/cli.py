@@ -24,12 +24,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import detect, ising
+from . import batch, detect, ising
 from . import process as pr
 from . import sdp
 from . import tensorlinalg as tl
 
-METHODS = ("ppt", "ppt_sdp", "dps2", "markov_distance")
+# the methods that find a witness, each evaluated on one process matrix; the
+# lambdas look the detector up when called, so a wrapped or patched one is used
+WITNESS_METHODS = {
+    "ppt": lambda w: detect.ppt_witness(w),
+    "ppt_sdp": lambda w: detect.witness_sdp(w),
+    "dps2": lambda w: detect.dps2_feasibility(w),
+}
+METHODS = (*WITNESS_METHODS, "markov_distance")
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -47,8 +54,8 @@ class Range:
     points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("range bounds must be finite")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError("range bounds and their span must be finite")
         if self.points < 1:
             raise ValueError("a range needs at least one point")
         if self.points == 1 and self.hi != self.lo:
@@ -84,12 +91,13 @@ class SweepConfig:
     t: float = 1.0
     methods: tuple[str, ...] = ("ppt",)
     out: str | None = None
-    seed: int = 2024
     workers: int = 1
     norm: str = "trace"
     stride: int = 1
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise ValueError("t must be finite")
         if not self.methods:
             raise ValueError("at least one method required")
         for m in self.methods:
@@ -112,64 +120,76 @@ class SweepRow:
     status: str
 
 
-def _evaluate_point(args) -> list[SweepRow]:
-    J, h, t, methods, norm = args
-    rows = []
+def _error_row(J: float, h: float, t: float, method: str, exc) -> SweepRow:
+    """A failed evaluation; the message is collapsed to one line to keep the CSV row whole."""
+    message = " ".join(str(exc).split())
+    return SweepRow(J, h, t, method, float("nan"), "error", f"error:{message}")
+
+
+def _evaluate_point(J: float, h: float, t: float, methods) -> dict[str, SweepRow]:
+    """The witness methods at one point, on one process matrix."""
     try:
         w = ising.process_matrix(J, h, t)
-    except Exception as exc:  # pragma: no cover - construction never fails
-        return [SweepRow(J, h, t, m, float("nan"), "error", f"error:{exc}") for m in methods]
+    except Exception as exc:
+        return {m: _error_row(J, h, t, m, exc) for m in methods}
+    rows = {}
     for method in methods:
         try:
-            rows.append(_evaluate_method(w, J, h, t, method, norm))
+            report = WITNESS_METHODS[method](w)
         except Exception as exc:
-            rows.append(SweepRow(J, h, t, method, float("nan"), "error", f"error:{exc}"))
+            rows[method] = _error_row(J, h, t, method, exc)
+        else:
+            status = str(report.diagnostics.get("solver_status", "ok"))
+            rows[method] = SweepRow(J, h, t, method, report.value, report.verdict, status)
     return rows
 
 
-def _evaluate_method(w, J, h, t, method, norm) -> SweepRow:
-    if method == "ppt":
-        report = detect.ppt_witness(w)
-        return SweepRow(J, h, t, method, report.value, report.verdict, "ok")
-    if method == "ppt_sdp":
-        report = detect.witness_sdp(w)
-        return SweepRow(
-            J, h, t, method, report.value, report.verdict,
-            str(report.diagnostics.get("solver_status")),
-        )
-    if method == "dps2":
-        report = detect.dps2_feasibility(w)
-        return SweepRow(
-            J, h, t, method, report.value, report.verdict,
-            str(report.diagnostics.get("solver_status")),
-        )
-    if method == "markov_distance":
-        value = pr.markov_distance(w, norm=norm)
-        verdict = "markovian" if value <= 1e-9 else "non_markovian"
-        return SweepRow(J, h, t, method, value, verdict, "ok")
-    raise ValueError(f"unknown method {method!r}")
+def _sweep_row(task) -> list[SweepRow]:
+    """Every configured method at each h of one J row, in ``methods`` order per point.
+
+    ``ppt`` and ``markov_distance`` come from the batched kernel over the
+    whole row; the SDP methods are solved point by point.
+    """
+    J, hs, t, methods, norm = task
+    columns = batch.evaluate_row(J, hs, t, norm) if set(methods) & set(batch.METHODS) else {}
+    per_point = [m for m in methods if m not in columns]
+    rows = []
+    for k, h in enumerate(hs):
+        solved = _evaluate_point(J, h, t, per_point) if per_point else {}
+        for method in methods:
+            if method not in columns:
+                rows.append(solved[method])
+                continue
+            column = columns[method]
+            if column.errors[k] is not None:
+                rows.append(_error_row(J, h, t, method, column.errors[k]))
+            else:
+                value = float(column.values[k])
+                rows.append(SweepRow(J, h, t, method, value, column.verdicts[k], "ok"))
+    return rows
 
 
 def sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate the configured methods on every grid point, J-major then h.
 
-    Per-point failures are recorded in their rows and the sweep continues.
-    Row values do not depend on the worker count.
+    One task per J row; with several workers the rows are spread over a
+    process pool.  Per-point failures are recorded in their rows and the
+    sweep continues.  Row values do not depend on the worker count.
     """
+    hs = config.h_range.values(config.stride)
     tasks = [
-        (J, h, config.t, config.methods, config.norm)
+        (J, hs, config.t, config.methods, config.norm)
         for J in config.j_range.values(config.stride)
-        for h in config.h_range.values(config.stride)
     ]
     if config.workers == 1:
-        chunks = map(_evaluate_point, tasks)
+        chunks = map(_sweep_row, tasks)
         rows = [row for chunk in chunks for row in chunk]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunksize = max(1, len(tasks) // (4 * config.workers))
             rows = [
                 row
-                for chunk in pool.map(_evaluate_point, tasks, chunksize=chunksize)
+                for chunk in pool.map(_sweep_row, tasks, chunksize=chunksize)
                 for row in chunk
             ]
     return rows
@@ -355,14 +375,9 @@ def pauli_decomposition(z: tl.TensorOperator) -> list[dict]:
 
 
 def witness_report_at(J: float, h: float, t: float, method: str) -> detect.WitnessReport:
-    w = ising.process_matrix(J, h, t)
-    if method == "ppt":
-        return detect.ppt_witness(w)
-    if method == "ppt_sdp":
-        return detect.witness_sdp(w)
-    if method == "dps2":
-        return detect.dps2_feasibility(w)
-    raise ValueError(f"method {method!r} does not produce witnesses")
+    if method not in WITNESS_METHODS:
+        raise ValueError(f"method {method!r} does not produce witnesses")
+    return WITNESS_METHODS[method](ising.process_matrix(J, h, t))
 
 
 def export_witness(J: float, h: float, t: float, method: str, path: str) -> dict:
@@ -454,11 +469,17 @@ def _build_sweep_config(args) -> SweepConfig:
         t=pick(args.t, "t", float, 1.0),
         methods=tuple(methods),
         out=pick(args.out, "out", str, None),
-        seed=pick(args.seed, "seed", int, 2024),
         workers=pick(args.workers, "workers", int, 1),
         norm=pick(args.norm, "norm", str, "trace"),
         stride=pick(args.stride, "stride", int, 1),
     )
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -468,9 +489,8 @@ def main(argv: list[str] | None = None) -> int:
     sw = sub.add_parser("sweep", help="evaluate methods over a (J, h) grid")
     sw.add_argument("--j-range", type=Range.parse, help="a:b:step (step size)")
     sw.add_argument("--h-range", type=Range.parse, help="a:b:step (step size)")
-    sw.add_argument("--t", type=float)
+    sw.add_argument("--t", type=_finite_float)
     sw.add_argument("--method", action="append", choices=METHODS)
-    sw.add_argument("--seed", type=int)
     sw.add_argument("--workers", type=int)
     sw.add_argument("--norm", choices=("trace", "frobenius"))
     sw.add_argument("--stride", type=int)
@@ -485,10 +505,10 @@ def main(argv: list[str] | None = None) -> int:
     hm.add_argument("--out", required=True)
 
     wt = sub.add_parser("witness", help="export the witness at one point")
-    wt.add_argument("--j", type=float, required=True)
-    wt.add_argument("--h", type=float, required=True)
-    wt.add_argument("--t", type=float, default=1.0)
-    wt.add_argument("--method", choices=("ppt", "ppt_sdp", "dps2"), default="ppt")
+    wt.add_argument("--j", type=_finite_float, required=True)
+    wt.add_argument("--h", type=_finite_float, required=True)
+    wt.add_argument("--t", type=_finite_float, default=1.0)
+    wt.add_argument("--method", choices=tuple(WITNESS_METHODS), default="ppt")
     wt.add_argument("--out", required=True)
     wt.add_argument("--validate", type=int, metavar="N", default=0,
                     help="also check the witness on N random classical-memory processes")

@@ -7,7 +7,7 @@ Each criterion prints its own pass/fail line as it completes.
 
 import pytest
 
-from qmemwit import acceptance
+from qmemwit import acceptance, cli
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +53,16 @@ def test_criterion_7_solver_self_verification(results):
 def test_criterion_8_structural_properties(results):
     r = results[8]
     assert r.passed, r.line()
+
+
+def test_criterion_6_reads_h0_by_magnitude():
+    lattice = [(0.0, 0.0), (3.14159265359, 0.0)]
+
+    def rows(values):
+        return {p: cli.SweepRow(p[0], p[1], 1.0, "ppt", v, "", "ok") for p, v in values.items()}
+
+    # rounding noise of either sign on h = 0 holds; a real eigenvalue there does not
+    far, h0 = acceptance.ppt_violations(rows({(1.0, 0.0): 1e-33, (2.0, 0.0): -6e-16}), lattice)
+    assert (far, h0) == ([], [])
+    far, h0 = acceptance.ppt_violations(rows({(1.0, 0.0): -1e-3, (2.0, 2.0): 0.0}), lattice)
+    assert (far, h0) == ([(2.0, 2.0)], [(1.0, 0.0)])

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ class TestRange:
             cli.Range.parse("0:10:-1")
         with pytest.raises(ValueError):
             cli.Range(0.0, 1.0, 0)
+        with pytest.raises(ValueError, match="finite"):
+            cli.Range(-1e308, 1e308, 3)  # the span overflows: grid values would be NaN
 
 
 class TestSweep:
@@ -105,6 +108,57 @@ class TestSweep:
                 j_range=cli.Range(0, 1, 2), h_range=cli.Range(0, 1, 2),
                 methods=("ppt",), norm="nuclear",
             )
+
+
+    def test_non_finite_t_rejected(self, tmp_path):
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                cli.SweepConfig(
+                    j_range=cli.Range(0, 1, 2), h_range=cli.Range(0, 1, 2), t=t
+                )
+        for text in ("nan", "inf", "-inf"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["sweep", "--t", text, "--out", str(tmp_path / "rows.csv")])
+            assert exc.value.code == 2
+        assert not (tmp_path / "rows.csv").exists()
+        for flag in ("--j", "--h", "--t"):
+            point = {"--j": "1", "--h": "1", flag: "nan"}
+            argv = ["witness", "--out", str(tmp_path / "w.json")]
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + [x for kv in point.items() for x in kv])
+            assert exc.value.code == 2
+
+    def test_multiline_error_keeps_csv_rows_whole(self, monkeypatch):
+        def fail(w, **kwargs):
+            raise ValueError("first line\n  second line")
+
+        monkeypatch.setattr(detect, "witness_sdp", fail)
+        config = cli.SweepConfig(
+            j_range=cli.Range(1.0, 1.0, 1), h_range=cli.Range(1.0, 2.0, 2),
+            methods=("ppt", "ppt_sdp"),
+        )
+        rows = cli.sweep(config)
+        assert [r.status for r in rows] == ["ok", "error:first line second line"] * 2
+        back = cli.rows_from_csv(cli.rows_to_csv(rows))
+        assert [(r.method, r.status) for r in back] == [(r.method, r.status) for r in rows]
+
+
+class TestMethodTable:
+    def test_methods_derive_from_the_table(self):
+        assert cli.METHODS == ("ppt", "ppt_sdp", "dps2", "markov_distance")
+        assert tuple(cli.WITNESS_METHODS) == ("ppt", "ppt_sdp", "dps2")
+
+    def test_witness_rejects_a_method_without_witnesses(self, tmp_path):
+        with pytest.raises(SystemExit):
+            cli.main(["witness", "--j", "1", "--h", "1", "--method", "markov_distance",
+                      "--out", str(tmp_path / "w.json")])
+        with pytest.raises(ValueError, match="does not produce witnesses"):
+            cli.witness_report_at(1.0, 1.0, 1.0, "markov_distance")
+
+    def test_sweep_seed_flag_removed(self):
+        with pytest.raises(SystemExit):
+            cli.main(["sweep", "--seed", "3"])
+        assert "seed" not in {f.name for f in fields(cli.SweepConfig)}
 
 
 class TestHeatmap:
