@@ -69,7 +69,11 @@ class Range:
 
     @staticmethod
     def parse(text: str) -> "Range":
-        """Parse 'a:b:step' with step meaning step size."""
+        """Parse 'a:b:step' with step meaning step size.
+
+        The step must divide b - a to a relative 1e-9, so that a rounded
+        decimal step such as 1/15 still gives its exact point count.
+        """
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range {text!r} is not of the form a:b:step")
@@ -80,8 +84,12 @@ class Range:
             return Range(lo, hi, 1)
         if step <= 0:
             raise ValueError("step size must be positive")
-        points = int(round((hi - lo) / step)) + 1
-        return Range(lo, hi, points)
+        steps = (hi - lo) / step
+        if not math.isfinite(steps):
+            raise ValueError(f"range {text!r} does not have a finite number of points")
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"step {step} does not divide the span {hi - lo}")
+        return Range(lo, hi, round(steps) + 1)
 
 
 @dataclass(frozen=True)

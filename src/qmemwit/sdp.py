@@ -5,9 +5,9 @@ with an objective or in pure feasibility mode (C = 0), and returns dual
 certificates.  The algorithm is a primal-dual path-following interior-point
 method on the homogeneous self-dual embedding, with Nesterov-Todd scaling
 and a Mehrotra predictor-corrector; infeasibility certificates fall out of
-the same core.  Complex Hermitian blocks are embedded as real symmetric
-blocks of doubled side via H -> [[Re H, -Im H], [Im H, Re H]] and solutions
-are mapped back by equivariant averaging.
+the same core.  The iteration runs directly on the complex Hermitian blocks,
+with inner products <A, B> = Re Tr(A^H B) (Todd, Toh and Tutuncu, SIAM J.
+Optim. 8 (1998), define the Nesterov-Todd direction on Hermitian matrices).
 
 Problems here are tiny (a few hundred real dimensions); the implementation
 chooses robustness over speed throughout.
@@ -74,9 +74,6 @@ class BlockMatrix:
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(b))) for b in self.blocks)
 
-    def scaled(self, alpha: float) -> "BlockMatrix":
-        return BlockMatrix([alpha * b for b in self.blocks], require_hermitian=False)
-
     @staticmethod
     def zeros(dims: Sequence[int]) -> "BlockMatrix":
         return BlockMatrix([np.zeros((d, d), dtype=complex) for d in dims])
@@ -90,8 +87,8 @@ class ConstraintSet:
     """Stacked constraint operators <A_k, X> for one block structure.
 
     The stacks (one (m, n_b, n_b) complex array per block) are shared between
-    problems that differ only in their right-hand sides, and the real
-    embedding used by the solver is computed once and cached.
+    problems that differ only in their right-hand sides, and so is the sparse
+    matrix the solver applies them with, computed once and cached.
     """
 
     def __init__(self, block_dims: Sequence[int], stacks: Sequence[np.ndarray]):
@@ -125,16 +122,12 @@ class ConstraintSet:
         return BlockMatrix([s[k] for s in self.stacks])
 
     @cached_property
-    def _real(self):
-        """Real-embedded constraint data: per-block dense stacks and one sparse matrix."""
-        dense = [_embed_stack(s) for s in self.stacks]
-        flat = (
-            np.concatenate([d.reshape(self.m, -1) for d in dense], axis=1)
-            if self.m
-            else np.zeros((0, sum((2 * d) ** 2 for d in self.block_dims)))
+    def _conj_csr(self) -> scipy.sparse.csr_matrix:
+        """Rows vec(conj A_k), so that <A_k, X> = Re(row_k . vec X)."""
+        flat = np.concatenate(
+            [s.reshape(self.m, d * d) for s, d in zip(self.stacks, self.block_dims)], axis=1
         )
-        sparse = scipy.sparse.csr_matrix(flat)
-        return dense, sparse
+        return scipy.sparse.csr_matrix(flat.conj())
 
 
 @dataclass
@@ -207,61 +200,31 @@ class SdpResult:
 
 
 # ---------------------------------------------------------------------------
-# real embedding helpers
-# ---------------------------------------------------------------------------
-
-
-def _embed(h: np.ndarray) -> np.ndarray:
-    n = h.shape[0]
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = h.real
-    out[:n, n:] = -h.imag
-    out[n:, :n] = h.imag
-    out[n:, n:] = h.real
-    return out
-
-
-def _embed_stack(s: np.ndarray) -> np.ndarray:
-    m, n, _ = s.shape
-    out = np.empty((m, 2 * n, 2 * n))
-    out[:, :n, :n] = s.real
-    out[:, :n, n:] = -s.imag
-    out[:, n:, :n] = s.imag
-    out[:, n:, n:] = s.real
-    return out
-
-
-def _unembed(x: np.ndarray) -> np.ndarray:
-    """Equivariant average of a real symmetric block, mapped back to complex."""
-    n = x.shape[0] // 2
-    p, q = x[:n, :n], x[:n, n:]
-    r, t = x[n:, :n], x[n:, n:]
-    re = (p + t) / 2
-    im = (r - q) / 2
-    c = re + 1j * im
-    return (c + c.conj().T) / 2
-
-
-# ---------------------------------------------------------------------------
-# interior-point core (real symmetric blocks)
+# interior-point core (complex Hermitian blocks)
 # ---------------------------------------------------------------------------
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2
+    """Hermitian part."""
+    return (a + a.conj().T) / 2
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Real inner product Re Tr(a^H b)."""
+    return np.vdot(a, b).real
 
 
 def _eigh_sqrt(a: np.ndarray):
     vals, vecs = np.linalg.eigh(_sym(a))
     vals = np.clip(vals, 1e-300, None)
     root = np.sqrt(vals)
-    half = (vecs * root) @ vecs.T
-    inv_half = (vecs / root) @ vecs.T
+    half = (vecs * root) @ vecs.conj().T
+    inv_half = (vecs / root) @ vecs.conj().T
     return half, inv_half
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx >= 0, for symmetric PD x."""
+    """Largest alpha with x + alpha*dx >= 0, for Hermitian PD x."""
     try:
         ch = np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
@@ -269,21 +232,27 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
         vals = np.clip(vals, 1e-14 * max(1.0, vals[-1]), None)
         ch = vecs * np.sqrt(vals)
     t = scipy.linalg.solve_triangular(ch, dx, lower=True)
-    t = scipy.linalg.solve_triangular(ch, t.T, lower=True)
+    t = scipy.linalg.solve_triangular(ch, t.conj().T, lower=True)
     lam = float(np.linalg.eigvalsh(_sym(t))[0])
     if lam >= 0:
         return np.inf
     return -1.0 / lam
 
 
-class _Core:
-    """One homogeneous self-dual solve on real symmetric blocks."""
+def _finite(direction) -> bool:
+    d_x, d_y, d_s, d_tau, d_kappa = direction
+    parts = [d_y, np.array([d_tau, d_kappa]), *d_x, *d_s]
+    return all(np.isfinite(p).all() for p in parts)
 
-    def __init__(self, dims, c_blocks, a_dense, a_sparse, b):
+
+class _Core:
+    """One homogeneous self-dual solve on complex Hermitian blocks."""
+
+    def __init__(self, dims, c_blocks, stacks, conj_csr, b):
         self.dims = dims
         self.c = c_blocks
-        self.a3 = a_dense                      # per block: (m, n, n)
-        self.asp = a_sparse                    # (m, sum n^2)
+        self.a3 = stacks                       # per block: (m, n, n)
+        self.asp = conj_csr                    # (m, sum n^2), rows vec(conj A_k)
         self.b = b
         self.m = len(b)
         self.n_total = sum(dims)
@@ -291,17 +260,17 @@ class _Core:
 
     def a_of(self, blocks) -> np.ndarray:
         vec = np.concatenate([blk.reshape(-1) for blk in blocks])
-        return self.asp.dot(vec)
+        return self.asp.dot(vec).real
 
     def a_adj(self, y: np.ndarray):
-        vec = self.asp.T.dot(y)
+        vec = self.asp.T.dot(y).conj()
         parts = np.split(vec, self.splits)
         return [_sym(p.reshape(d, d)) for p, d in zip(parts, self.dims)]
 
     def solve(self, max_iterations=MAX_ITERATIONS, trace=None):
         dims = self.dims
-        x = [np.eye(d) for d in dims]
-        s = [np.eye(d) for d in dims]
+        x = [np.eye(d, dtype=complex) for d in dims]
+        s = [np.eye(d, dtype=complex) for d in dims]
         y = np.zeros(self.m)
         tau, kappa = 1.0, 1.0
         b, c = self.b, self.c
@@ -322,10 +291,10 @@ class _Core:
             aty = self.a_adj(y)
             r_p = b * tau - ax
             r_d = [c[i] * tau - aty[i] - s[i] for i in range(len(dims))]
-            cx = sum(np.sum(c[i] * x[i]) for i in range(len(dims)))
+            cx = sum(_dot(c[i], x[i]) for i in range(len(dims)))
             by = float(b @ y)
             r_g = kappa + cx - by
-            mu = (sum(np.sum(x[i] * s[i]) for i in range(len(dims))) + tau * kappa) / (
+            mu = (sum(_dot(x[i], s[i]) for i in range(len(dims))) + tau * kappa) / (
                 self.n_total + 1
             )
 
@@ -386,7 +355,7 @@ class _Core:
             # Schur complement pieces shared by both passes
             wcw = [_sym(scal[i][0] @ c[i] @ scal[i][0]) for i in range(len(dims))]
             g_vec = self.a_of(wcw)
-            h_cc = sum(np.sum(c[i] * wcw[i]) for i in range(len(dims)))
+            h_cc = sum(_dot(c[i], wcw[i]) for i in range(len(dims)))
             wrdw = [_sym(scal[i][0] @ r_d[i] @ scal[i][0]) for i in range(len(dims))]
             a_wrdw = self.a_of(wrdw)
             big_m = self._schur(scal)
@@ -398,10 +367,10 @@ class _Core:
 
             def newton(eta, rc, rhs_tk):
                 a_rc = self.a_of(rc)
-                c_rc = sum(np.sum(c[i] * rc[i]) for i in range(len(dims)))
+                c_rc = sum(_dot(c[i], rc[i]) for i in range(len(dims)))
                 rhs_p = eta * r_p - a_rc + eta * a_wrdw
                 u = self._solve_factored(factor, rhs_p)
-                c_wrdw = sum(np.sum(c[i] * wrdw[i]) for i in range(len(dims)))
+                c_wrdw = sum(_dot(c[i], wrdw[i]) for i in range(len(dims)))
                 rhs_g2 = eta * r_g + c_rc - eta * c_wrdw + rhs_tk / tau
                 denom = float((b - g_vec) @ v_dir) + h_cc + kappa / tau
                 d_tau = (rhs_g2 - float((b - g_vec) @ u)) / denom
@@ -429,10 +398,13 @@ class _Core:
             # predictor (affine) pass
             rc_aff = [-x[i] for i in range(len(dims))]
             aff = newton(1.0, rc_aff, -tau * kappa)
+            if not _finite(aff):
+                info["reason"] = "non-finite Newton direction"
+                break
             alpha_aff = min(1.0, step_bound(aff[0], aff[2], aff[3], aff[4]))
             mu_aff = (
                 sum(
-                    np.sum((x[i] + alpha_aff * aff[0][i]) * (s[i] + alpha_aff * aff[2][i]))
+                    _dot(x[i] + alpha_aff * aff[0][i], s[i] + alpha_aff * aff[2][i])
                     for i in range(len(dims))
                 )
                 + (tau + alpha_aff * aff[3]) * (kappa + alpha_aff * aff[4])
@@ -448,12 +420,16 @@ class _Core:
                 dsa_hat = g @ aff[2][i] @ g
                 rhat = sigma * mu * np.eye(dims[i]) - v @ v - _sym(dxa_hat @ dsa_hat)
                 # Lyapunov solve (V D + D V)/2 = rhat in V's eigenbasis
-                rq = qv.T @ rhat @ qv
+                rq = qv.conj().T @ rhat @ qv
                 denom_l = (lv[:, None] + lv[None, :]) / 2.0
-                d_hat = qv @ (rq / denom_l) @ qv.T
+                d_hat = qv @ (rq / denom_l) @ qv.conj().T
                 rc.append(_sym(g @ d_hat @ g))
             rhs_tk = sigma * mu - tau * kappa - aff[3] * aff[4]
-            d_x, d_y, d_s, d_tau, d_kappa = newton(eta, rc, rhs_tk)
+            direction = newton(eta, rc, rhs_tk)
+            if not _finite(direction):
+                info["reason"] = "non-finite Newton direction"
+                break
+            d_x, d_y, d_s, d_tau, d_kappa = direction
 
             alpha = min(1.0, STEP_FRACTION * step_bound(d_x, d_s, d_tau, d_kappa))
             if not np.isfinite(alpha) or alpha <= 1e-14:
@@ -490,8 +466,7 @@ class _Core:
             waw = np.matmul(w, np.matmul(self.a3[i], w))
             pieces.append(waw.reshape(self.m, -1))
         bmat = np.concatenate(pieces, axis=1)
-        m = self.asp.dot(bmat.T)
-        return _sym(np.asarray(m))
+        return _sym(self.asp.dot(bmat.T).real)
 
     def _factor(self, big_m):
         jitter = 0.0
@@ -508,7 +483,8 @@ class _Core:
     def _solve_factored(self, factor, rhs):
         if self.m == 0:
             return np.zeros(0)
-        return scipy.linalg.cho_solve(factor, rhs)
+        # a non-finite rhs yields a non-finite direction, which solve() rejects
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
     def _try_certificate(self, y, by):
         """Farkas pair (y, -A*(y)) scaled to b.y = 1, or None."""
@@ -587,34 +563,22 @@ def solve(problem: SdpProblem, max_iterations: int = MAX_ITERATIONS) -> SdpResul
 
 
 def _solve_impl(problem: SdpProblem, max_iterations: int) -> SdpResult:
-    dims = problem.block_dims
-    c_complex = problem.objective or BlockMatrix.zeros(dims)
-    c_blocks = [_embed(blk) / 1.0 for blk in c_complex.blocks]
-    a_dense, a_sparse = problem.constraint_set._real
-    b_real = 2.0 * problem.b
-
-    core = _Core([2 * d for d in dims], c_blocks, a_dense, a_sparse, b_real)
+    c = problem.objective or BlockMatrix.zeros(problem.block_dims)
+    ops = problem.constraint_set
+    core = _Core(problem.block_dims, c.blocks, ops.stacks, ops._conj_csr, problem.b)
     status, cert, info, best = core.solve(max_iterations=max_iterations)
 
     if status == OPTIMAL and best is not None:
         xb, yb, sb = best
-        x = BlockMatrix([_unembed(blk) for blk in xb], require_hermitian=False)
-        objective = c_complex.inner(x)
-        return SdpResult(OPTIMAL, x, yb, float(objective), info=info)
+        x = BlockMatrix(xb, require_hermitian=False)
+        return SdpResult(OPTIMAL, x, yb, c.inner(x), info=info)
 
     if status == INFEASIBLE and cert is not None:
         y_hat, s_hat = cert
-        s_complex = BlockMatrix([_unembed(blk) for blk in s_hat], require_hermitian=False)
-        by = float(problem.b @ y_hat)
-        if by <= 0:
-            return SdpResult(FAILURE, None, y_hat, np.nan, info={**info, "reason": "certificate lost in unembedding"})
-        y_n = y_hat / by
-        s_n = s_complex.scaled(1.0 / by)
-        return SdpResult(
-            INFEASIBLE, None, y_n, np.inf, certificate=Certificate(y_n, s_n), info=info
-        )
+        certificate = Certificate(y_hat, BlockMatrix(s_hat, require_hermitian=False))
+        return SdpResult(INFEASIBLE, None, y_hat, np.inf, certificate=certificate, info=info)
 
-    y_last = best[1] if best is not None else np.zeros(problem.constraint_set.m)
+    y_last = best[1] if best is not None else np.zeros(ops.m)
     return SdpResult(status, None, y_last, np.nan, info=info)
 
 

@@ -38,6 +38,18 @@ class TestRange:
             cli.Range(0.0, 1.0, 0)
         with pytest.raises(ValueError, match="finite"):
             cli.Range(-1e308, 1e308, 3)  # the span overflows: grid values would be NaN
+        with pytest.raises(ValueError, match="does not divide"):
+            cli.Range.parse("0:1:0.3")  # was rounded to 4 points at step 1/3
+        with pytest.raises(ValueError, match="finite"):
+            cli.Range.parse("-1e308:1e308:1e307")  # was an OverflowError
+
+    def test_bad_range_flag_is_a_usage_error(self, tmp_path, capsys):
+        for text in ("0:1:0.3", "-1e308:1e308:1e307"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["sweep", f"--h-range={text}", "--out", str(tmp_path / "rows.csv")])
+            assert exc.value.code == 2
+            assert "invalid parse value" in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
 
 
 class TestSweep:

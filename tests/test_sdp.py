@@ -14,6 +14,17 @@ def eye_bm(n):
     return BlockMatrix([np.eye(n, dtype=complex)])
 
 
+SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+
+
+def bounded_functional_problem(sigma):
+    """Tr X = 1 and Tr(sigma X) = 3: infeasible, since |Tr(sigma X)| <= 1."""
+    return SdpProblem.from_constraints(
+        (2,), None, [(eye_bm(2), 1.0), (BlockMatrix([sigma]), 3.0)]
+    )
+
+
 def min_eig_problem(m):
     """min Tr(M X) s.t. Tr X = 1, X >= 0; optimum is lambda_min(M)."""
     n = m.shape[0]
@@ -51,9 +62,9 @@ class TestSolveExamples:
         assert abs(r.objective_value - (-2.0)) <= 1e-7
         assert sdp.verify(p, r).ok
 
-    def test_bounded_functional_infeasible(self):
-        sz = BlockMatrix([np.diag([1.0, -1.0]).astype(complex)])
-        p = SdpProblem.from_constraints((2,), None, [(eye_bm(2), 1.0), (sz, 3.0)])
+    @pytest.mark.parametrize("sigma", [SIGMA_Z, SIGMA_Y], ids=["sigma_z", "sigma_y"])
+    def test_bounded_functional_infeasible(self, sigma):
+        p = bounded_functional_problem(sigma)
         r = sdp.solve(p)
         assert r.status == sdp.INFEASIBLE
         assert r.certificate is not None
@@ -74,6 +85,27 @@ class TestSolveExamples:
         assert r.status == sdp.OPTIMAL
         assert r.objective_value == 0.0
         assert sdp.verify(p, r).ok
+
+    @pytest.mark.parametrize("n, expected", [(4, sdp.OPTIMAL), (8, sdp.MAX_ITER)])
+    def test_non_finite_direction_reported(self, monkeypatch, n, expected):
+        # from its 20th call (iteration 6) every Cholesky solve returns NaNs;
+        # at n = 4 the incumbent already meets the result contract, at n = 8 not
+        import scipy.linalg
+
+        cho_solve = scipy.linalg.cho_solve
+        calls = [0]
+
+        def nan_from_20th_call(*args, **kwargs):
+            calls[0] += 1
+            out = cho_solve(*args, **kwargs)
+            return np.full_like(out, np.nan) if calls[0] >= 20 else out
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", nan_from_20th_call)
+        p = min_eig_problem(herm(np.random.default_rng(0), n))
+        r = sdp.solve(p)
+        assert r.status == expected
+        assert r.info["reason"] == "non-finite Newton direction"
+        assert sdp.verify(p, r).ok == (r.status == sdp.OPTIMAL)
 
     def test_iteration_cap_reported(self):
         rng = np.random.default_rng(0)
@@ -162,9 +194,9 @@ class TestVerify:
         assert not rep.ok
         assert not rep.checks["primal_residual"][0]
 
-    def test_tampered_certificate_fails(self):
-        sz = BlockMatrix([np.diag([1.0, -1.0]).astype(complex)])
-        p = SdpProblem.from_constraints((2,), None, [(eye_bm(2), 1.0), (sz, 3.0)])
+    @pytest.mark.parametrize("sigma", [SIGMA_Z, SIGMA_Y], ids=["sigma_z", "sigma_y"])
+    def test_tampered_certificate_fails(self, sigma):
+        p = bounded_functional_problem(sigma)
         r = sdp.solve(p)
         bad = Certificate(r.certificate.y * -1.0, r.certificate.s)
         rep = sdp.verify(p, sdp.SdpResult(sdp.INFEASIBLE, None, bad.y, np.inf, certificate=bad))
