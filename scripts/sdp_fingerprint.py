@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Fingerprint every SDP solve of the detectors, or compare two fingerprints.
+
+    PYTHONPATH=src python scripts/sdp_fingerprint.py --out FILE.json
+    python scripts/sdp_fingerprint.py --compare A.json B.json
+
+The first form records one entry per solve:
+
+* ``dps2_feasibility`` on criterion 6's 31x31 stride grid (961 points);
+* ``witness_sdp`` without and with the station-swap restriction at
+  ``acceptance_points(60, seed=3)`` and at five h = 0 points (130 solves).
+
+Each entry holds J, h, method, verdict, solver status, verification outcome,
+iteration count, the reported value and, for ``witness_sdp``, the SDP
+optimum.  ``qmemwit`` is imported from the environment, so pointing
+PYTHONPATH at another checkout's ``src`` fingerprints that checkout.
+
+The second form matches the entries of A and B by (method, J, h) and prints
+every entry whose verdict, status, verification or iteration count differs,
+the largest |value - value'| and |optimum - optimum'| per method, and a
+histogram of the iteration differences (B - A).  It exits with status 1 when
+an entry is missing or differs, or when a numeric difference exceeds --tol.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import json
+import sys
+import time
+
+DISCRETE = ("verdict", "solver_status", "verified", "iterations")
+NUMERIC = ("value", "optimum")
+H0_J = (0.5, 2.5, 4.5, 6.5, 8.5)
+
+
+def _record(j: float, h: float, method: str, report) -> dict:
+    diag = report.diagnostics
+    return {
+        "J": j,
+        "h": h,
+        "method": method,
+        "verdict": report.verdict,
+        "solver_status": diag.get("solver_status"),
+        "verified": bool(diag.get("verified")),
+        "iterations": diag.get("iterations"),
+        "value": report.value,
+        "optimum": diag.get("optimum"),
+    }
+
+
+def fingerprint() -> list[dict]:
+    from qmemwit import acceptance, cli, detect, ising
+
+    records = []
+    grid = cli.Range(0.0, 10.0, 151).values(stride=5)
+    for j in grid:
+        for h in grid:
+            w = ising.process_matrix(j, h, 1.0)
+            records.append(_record(j, h, "dps2", detect.dps2_feasibility(w)))
+    points = acceptance.acceptance_points(60, seed=3) + [(j, 0.0) for j in H0_J]
+    for j, h in points:
+        w = ising.process_matrix(j, h, 1.0)
+        records.append(_record(j, h, "ppt_sdp", detect.witness_sdp(w)))
+        records.append(
+            _record(j, h, "ppt_sdp_swap", detect.witness_sdp(w, swap_symmetric=True))
+        )
+    return records
+
+
+def _load(path: str) -> list[dict]:
+    with open(path) as fh:
+        return json.load(fh)["records"]
+
+
+def _key(r: dict) -> tuple:
+    return (r["method"], r["J"], r["h"])
+
+
+def compare(a: list[dict], b: list[dict], tol: float) -> bool:
+    by_a, by_b = {_key(r): r for r in a}, {_key(r): r for r in b}
+    ok = True
+    missing = by_a.keys() ^ by_b.keys()
+    if missing:
+        ok = False
+        print(f"{len(missing)} entries present in only one file, e.g. {sorted(missing)[:3]}")
+    worst: dict[str, dict[str, float]] = collections.defaultdict(
+        lambda: {f: 0.0 for f in NUMERIC}
+    )
+    iteration_diff = collections.Counter()
+    counts = collections.Counter()
+    for k in sorted(by_a.keys() & by_b.keys()):
+        ra, rb = by_a[k], by_b[k]
+        counts[k[0]] += 1
+        diff = [f for f in DISCRETE if ra[f] != rb[f]]
+        if diff:
+            ok = False
+            print(f"mismatch {k}: " + ", ".join(f"{f} {ra[f]!r} -> {rb[f]!r}" for f in diff))
+        if ra["iterations"] is not None and rb["iterations"] is not None:
+            iteration_diff[rb["iterations"] - ra["iterations"]] += 1
+        for f in NUMERIC:
+            if ra[f] is None or rb[f] is None:
+                if (ra[f] is None) != (rb[f] is None):
+                    ok = False
+                    print(f"mismatch {k}: {f} {ra[f]!r} -> {rb[f]!r}")
+                continue
+            worst[k[0]][f] = max(worst[k[0]][f], abs(ra[f] - rb[f]))
+    for method in sorted(counts):
+        w = worst[method]
+        print(
+            f"{method}: {counts[method]} solves, max |d value| {w['value']:.2e}, "
+            f"max |d optimum| {w['optimum']:.2e}"
+        )
+        if max(w.values()) > tol:
+            ok = False
+    hist = ", ".join(f"{d:+d}: {n}" for d, n in sorted(iteration_diff.items()))
+    print(f"iteration differences (B - A): {hist}")
+    print("identical within tolerance" if ok else "DIFFERENT")
+    return ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", metavar="FILE", help="write the fingerprint of this tree")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two fingerprints")
+    parser.add_argument(
+        "--tol", type=float, default=1e-8,
+        help="largest accepted |value| or |optimum| difference (default 1e-8)",
+    )
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (_load(path) for path in args.compare)
+        return 0 if compare(a, b, args.tol) else 1
+
+    import numpy as np
+    import scipy
+
+    t0 = time.perf_counter()
+    records = fingerprint()
+    payload = {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "seconds": round(time.perf_counter() - t0, 1),
+        "records": records,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(payload, fh, indent=0)
+    print(f"{len(records)} solves in {payload['seconds']} s -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,8 +9,12 @@ the same core.  The iteration runs directly on the complex Hermitian blocks,
 with inner products <A, B> = Re Tr(A^H B) (Todd, Toh and Tutuncu, SIAM J.
 Optim. 8 (1998), define the Nesterov-Todd direction on Hermitian matrices).
 
-Problems here are tiny (a few hundred real dimensions); the implementation
-chooses robustness over speed throughout.
+The Schur complement M_kl = <A_k, W A_l W> of each iteration is a sparse
+congruence: for row-major vec and Hermitian W, vec(W A W) = (W kron W^T) vec(A),
+so block b adds Re(S_b (W_b kron W_b^T) S_b^H) to M, where the rows of the
+sparse S_b are vec(conj A_k) for the constraints with data in block b
+(Fujisawa, Kojima and Nakata, Math. Program. 79 (1997), exploit the same
+sparsity).
 """
 
 from __future__ import annotations
@@ -129,6 +133,29 @@ class ConstraintSet:
         )
         return scipy.sparse.csr_matrix(flat.conj())
 
+    @cached_property
+    def _block_csr(self) -> tuple:
+        """Per block with data: (block, index, S_b, conj S_b) for the Schur complement.
+
+        S_b holds the rows vec(conj A_k) of block b for the constraints k with
+        data in that block; index addresses those rows and columns of an
+        (m, m) matrix, a slice pair when they are contiguous, np.ix_ otherwise.
+        """
+        out = []
+        for i, (s, d) in enumerate(zip(self.stacks, self.block_dims)):
+            flat = s.reshape(self.m, d * d)
+            rows = np.flatnonzero(np.any(flat != 0, axis=1))
+            if rows.size == 0:
+                continue
+            if rows[-1] - rows[0] + 1 == rows.size:
+                span = slice(int(rows[0]), int(rows[-1]) + 1)
+                index = (span, span)
+            else:
+                index = np.ix_(rows, rows)
+            s_b = scipy.sparse.csr_matrix(flat[rows].conj())
+            out.append((i, index, s_b, s_b.conj()))
+        return tuple(out)
+
 
 @dataclass
 class SdpProblem:
@@ -230,9 +257,11 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(x)
         vals = np.clip(vals, 1e-14 * max(1.0, vals[-1]), None)
-        ch = vecs * np.sqrt(vals)
-    t = scipy.linalg.solve_triangular(ch, dx, lower=True)
-    t = scipy.linalg.solve_triangular(ch, t.conj().T, lower=True)
+        inv = vecs / np.sqrt(vals)
+        t = inv.conj().T @ dx @ inv
+    else:
+        t = scipy.linalg.solve_triangular(ch, dx, lower=True)
+        t = scipy.linalg.solve_triangular(ch, t.conj().T, lower=True)
     lam = float(np.linalg.eigvalsh(_sym(t))[0])
     if lam >= 0:
         return np.inf
@@ -248,11 +277,11 @@ def _finite(direction) -> bool:
 class _Core:
     """One homogeneous self-dual solve on complex Hermitian blocks."""
 
-    def __init__(self, dims, c_blocks, stacks, conj_csr, b):
-        self.dims = dims
+    def __init__(self, c_blocks, constraint_set, b):
+        self.dims = dims = constraint_set.block_dims
         self.c = c_blocks
-        self.a3 = stacks                       # per block: (m, n, n)
-        self.asp = conj_csr                    # (m, sum n^2), rows vec(conj A_k)
+        self.asp = constraint_set._conj_csr    # (m, sum n^2), rows vec(conj A_k)
+        self.block_csr = constraint_set._block_csr
         self.b = b
         self.m = len(b)
         self.n_total = sum(dims)
@@ -460,24 +489,25 @@ class _Core:
         return (MAX_ITER, None, info, best)
 
     def _schur(self, scal) -> np.ndarray:
-        pieces = []
-        for i, d in enumerate(self.dims):
+        """M_kl = <A_k, W A_l W>, summed over blocks as Re(S_b (W kron W^T) S_b^H)."""
+        big_m = np.zeros((self.m, self.m))
+        for i, index, s_b, s_b_conj in self.block_csr:
             w = scal[i][0]
-            waw = np.matmul(w, np.matmul(self.a3[i], w))
-            pieces.append(waw.reshape(self.m, -1))
-        bmat = np.concatenate(pieces, axis=1)
-        return _sym(self.asp.dot(bmat.T).real)
+            # kron of a C-ordered W^T; of the transposed view it is five times slower
+            u = s_b.dot(np.kron(w, w.T.copy()))
+            # conj(S_b) u^T is the transpose of the block's Hermitian term, whose
+            # real part is symmetric
+            big_m[index] += s_b_conj.dot(u.T).real
+        return big_m
 
     def _factor(self, big_m):
-        jitter = 0.0
         scale = max(np.trace(big_m) / max(self.m, 1), 1e-30)
+        shifted = big_m
         for attempt in range(4):
             try:
-                return scipy.linalg.cho_factor(
-                    big_m + jitter * np.eye(self.m), lower=True
-                )
+                return scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
             except np.linalg.LinAlgError:
-                jitter = scale * 10.0 ** (-14 + 4 * attempt)
+                shifted = big_m + scale * 10.0 ** (-14 + 4 * attempt) * np.eye(self.m)
         return None
 
     def _solve_factored(self, factor, rhs):
@@ -565,7 +595,7 @@ def solve(problem: SdpProblem, max_iterations: int = MAX_ITERATIONS) -> SdpResul
 def _solve_impl(problem: SdpProblem, max_iterations: int) -> SdpResult:
     c = problem.objective or BlockMatrix.zeros(problem.block_dims)
     ops = problem.constraint_set
-    core = _Core(problem.block_dims, c.blocks, ops.stacks, ops._conj_csr, problem.b)
+    core = _Core(c.blocks, ops, problem.b)
     status, cert, info, best = core.solve(max_iterations=max_iterations)
 
     if status == OPTIMAL and best is not None:
@@ -614,7 +644,11 @@ def verify(problem: SdpProblem, result: SdpResult) -> VerificationReport:
 
     if result.status == OPTIMAL:
         x = result.x
-        ax = np.array([sum(np.sum(s[k].conj() * x.blocks[i]).real for i, s in enumerate(ops.stacks)) for k in range(ops.m)])
+        # Re <A_k, X> = Re sum A_k * conj(X), without copying the stacks
+        ax = sum(
+            np.einsum("kij,ij->k", stack, xb.conj()).real
+            for stack, xb in zip(ops.stacks, x.blocks)
+        )
         pres = float(np.linalg.norm(ax - problem.b) / (1.0 + np.linalg.norm(problem.b)))
         checks["primal_residual"] = (pres <= FEAS_TOL, pres, FEAS_TOL)
         lam_x = x.min_eig()

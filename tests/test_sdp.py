@@ -115,6 +115,79 @@ class TestSolveExamples:
         assert r.x is None
 
 
+class TestMaxStep:
+    def test_eigen_fallback_when_cholesky_fails(self):
+        # x = Q diag(-1e-17, 1, 2, 3) Q^H has no Cholesky factor; x + a dx >= 0
+        # holds up to a = 2, where the v1 eigenvalue 1 - a/2 reaches zero
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        q, _ = np.linalg.qr(g)
+        x = sdp._sym(q @ np.diag([-1e-17, 1.0, 2.0, 3.0]) @ q.conj().T)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(x)
+        v0, v1 = q[:, 0], q[:, 1]
+        dx = np.outer(v0, v0.conj()) - np.outer(v1, v1.conj()) / 2
+        assert abs(sdp._max_step(x, dx) - 2.0) <= 1e-9
+
+
+def random_pd(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return sdp._sym(g @ g.conj().T / d + np.eye(d))
+
+
+class TestSchur:
+    """_Core._schur against M_kl = Re Tr(A_k^H W A_l W) computed from the stacks."""
+
+    @staticmethod
+    def schur(ops, ws):
+        c = [np.zeros((d, d), dtype=complex) for d in ops.block_dims]
+        core = sdp._Core(c, ops, np.zeros(ops.m))
+        return core._schur([(w,) for w in ws])
+
+    @staticmethod
+    def reference(ops, ws):
+        big_m = np.zeros((ops.m, ops.m))
+        for stack, w in zip(ops.stacks, ws):
+            waw = np.einsum("ab,lbc,cd->lad", w, stack, w)
+            big_m += np.einsum("kab,lab->kl", stack.conj(), waw).real
+        return big_m
+
+    def assert_matches(self, ops, seed):
+        rng = np.random.default_rng(seed)
+        ws = [random_pd(rng, d) for d in ops.block_dims]
+        got, ref = self.schur(ops, ws), self.reference(ops, ws)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_dps2_template(self):
+        from qmemwit import detect
+
+        ops = detect._dps2_template((2, 2, 2)).constraint_set
+        assert [i for i, *_ in ops._block_csr] == [0, 1, 2]
+        assert all(isinstance(index[0], slice) for _, index, *_ in ops._block_csr)
+        self.assert_matches(ops, 41)
+
+    def test_rows_not_contiguous(self):
+        rng = np.random.default_rng(43)
+        dims, m = (3, 4, 2), 7
+        stacks = [np.stack([herm(rng, d) for _ in range(m)]) for d in dims]
+        stacks[1][[1, 3, 4]] = 0.0          # block 1 carries rows 0, 2, 5, 6
+        stacks[2][:5] = 0.0                 # block 2 carries rows 5, 6
+        ops = sdp.ConstraintSet(dims, stacks)
+        indices = {i: index for i, index, *_ in ops._block_csr}
+        assert isinstance(indices[0][0], slice)
+        assert not isinstance(indices[1][0], slice)
+        assert indices[2] == (slice(5, 7), slice(5, 7))
+        self.assert_matches(ops, 47)
+
+    def test_block_without_data(self):
+        rng = np.random.default_rng(53)
+        dims, m = (4, 3), 5
+        stacks = [np.stack([herm(rng, 4) for _ in range(m)]), np.zeros((m, 3, 3))]
+        ops = sdp.ConstraintSet(dims, stacks)
+        assert [i for i, *_ in ops._block_csr] == [0]
+        self.assert_matches(ops, 59)
+
+
 class TestEigOracle:
     def test_fifty_random_instances(self):
         # cross-module oracle: optimum of max -Tr(MX) is -lambda_min(M)
