@@ -11,13 +11,17 @@ The first form records one entry per solve:
   ``acceptance_points(60, seed=3)`` and at five h = 0 points (130 solves).
 
 Each entry holds J, h, method, verdict, solver status, verification outcome,
-iteration count, the reported value and, for ``witness_sdp``, the SDP
-optimum.  ``qmemwit`` is imported from the environment, so pointing
-PYTHONPATH at another checkout's ``src`` fingerprints that checkout.
+iteration count, the reported value, for ``witness_sdp`` the SDP optimum and,
+for an infeasible ``dps2`` solve, ``certificate_min_eig``: the least
+eigenvalue of the Farkas certificate's S = -A*(y), as the solver reports it.
+``qmemwit`` is imported from the environment, so pointing PYTHONPATH at
+another checkout's ``src`` fingerprints that checkout.
 
 The second form matches the entries of A and B by (method, J, h) and prints
 every entry whose verdict, status, verification or iteration count differs,
-the largest |value - value'| and |optimum - optimum'| per method, and a
+the largest |value - value'| and |optimum - optimum'| per method, per file
+how many ``dps2`` certificates needed polishing (certificate_min_eig < 0;
+entries without the field, as in older files, are not counted), and a
 histogram of the iteration differences (B - A).  It exits with status 1 when
 an entry is missing or differs, or when a numeric difference exceeds --tol.
 """
@@ -47,6 +51,7 @@ def _record(j: float, h: float, method: str, report) -> dict:
         "iterations": diag.get("iterations"),
         "value": report.value,
         "optimum": diag.get("optimum"),
+        "certificate_min_eig": diag.get("certificate_min_eig"),
     }
 
 
@@ -114,6 +119,12 @@ def compare(a: list[dict], b: list[dict], tol: float) -> bool:
         )
         if max(w.values()) > tol:
             ok = False
+    for name, records in (("A", a), ("B", b)):
+        margins = [r.get("certificate_min_eig") for r in records]
+        margins = [s for s in margins if s is not None]
+        polished = sum(s < 0 for s in margins)
+        least = f", least {min(margins):.2e}" if margins else ""
+        print(f"{name}: {polished} of {len(margins)} dps2 certificates needed polishing{least}")
     hist = ", ".join(f"{d:+d}: {n}" for d, n in sorted(iteration_diff.items()))
     print(f"iteration differences (B - A): {hist}")
     print("identical within tolerance" if ok else "DIFFERENT")

@@ -9,7 +9,7 @@ Commands:
 Grid convention: ``--j-range a:b:s`` takes the step *size* s with inclusive
 endpoints (0:10:0.0667 gives 151 points).  Sweep rows are ordered J-major
 then h and are independent of the worker count.  Exit codes: 0 success,
-2 witness export at an inconclusive point, 3 solver failure.
+2 usage error or witness export at an inconclusive point, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -237,6 +237,7 @@ def _fmt(x: float) -> str:
 
 _STOPS = ((33, 62, 120), (245, 245, 245), (165, 32, 38))
 _NAN_COLOR = "#808080"
+HEATMAP_COLUMNS = ("value",)
 
 
 def _color(value: float, vmin: float, vmax: float) -> str:
@@ -269,13 +270,13 @@ def render_heatmap(rows: list[SweepRow], column: str, path: str) -> None:
     the column minimum to maximum, axes carry ticks at multiples of pi, and
     identical input produces identical bytes.
     """
-    if column not in ("value",):
-        raise ValueError(f"unknown column {column!r}; renderable columns: 'value'")
+    if not rows:
+        raise ValueError("empty table")
+    if column not in HEATMAP_COLUMNS:
+        raise ValueError(f"unknown column {column!r}; renderable columns: {HEATMAP_COLUMNS}")
     methods = sorted({r.method for r in rows})
     if len(methods) != 1:
         raise ValueError(f"table mixes methods {methods}; filter to one before rendering")
-    if not rows:
-        raise ValueError("empty table")
     js = sorted({r.J for r in rows})
     hs = sorted({r.h for r in rows})
     grid = {(r.J, r.h): getattr(r, column) for r in rows}
@@ -458,8 +459,15 @@ def read_config(path: str) -> dict[str, str]:
     return values
 
 
+# the keys a --config file may set, one per sweep flag
+CONFIG_KEYS = ("j_range", "h_range", "t", "method", "out", "workers", "norm", "stride")
+
+
 def _build_sweep_config(args) -> SweepConfig:
     conf = read_config(args.config) if args.config else {}
+    unknown = sorted(set(conf) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; choose from {CONFIG_KEYS}")
 
     def pick(flag_value, key, parse, default):
         if flag_value is not None:
@@ -490,6 +498,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_at_least(lowest: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"{text!r} must be >= {lowest}")
+        return value
+
+    return parse
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="qmemwit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -499,16 +517,16 @@ def main(argv: list[str] | None = None) -> int:
     sw.add_argument("--h-range", type=Range.parse, help="a:b:step (step size)")
     sw.add_argument("--t", type=_finite_float)
     sw.add_argument("--method", action="append", choices=METHODS)
-    sw.add_argument("--workers", type=int)
+    sw.add_argument("--workers", type=_int_at_least(1))
     sw.add_argument("--norm", choices=("trace", "frobenius"))
-    sw.add_argument("--stride", type=int)
+    sw.add_argument("--stride", type=_int_at_least(1))
     sw.add_argument("--out")
     sw.add_argument("--config")
     sw.add_argument("--dump-sdp", metavar="DIR", help="dump every SDP solved (forces workers=1)")
 
     hm = sub.add_parser("heatmap", help="render a sweep CSV as an SVG heatmap")
     hm.add_argument("--table", required=True, help="CSV produced by sweep")
-    hm.add_argument("--column", default="value")
+    hm.add_argument("--column", choices=HEATMAP_COLUMNS, default="value")
     hm.add_argument("--method", choices=METHODS, help="filter the table to one method")
     hm.add_argument("--out", required=True)
 
@@ -518,18 +536,21 @@ def main(argv: list[str] | None = None) -> int:
     wt.add_argument("--t", type=_finite_float, default=1.0)
     wt.add_argument("--method", choices=tuple(WITNESS_METHODS), default="ppt")
     wt.add_argument("--out", required=True)
-    wt.add_argument("--validate", type=int, metavar="N", default=0,
+    wt.add_argument("--validate", type=_int_at_least(0), metavar="N", default=0,
                     help="also check the witness on N random classical-memory processes")
     wt.add_argument("--seed", type=int, default=2024)
     wt.add_argument("--dump-sdp", metavar="DIR", help="dump every SDP solved")
 
     vf = sub.add_parser("verify", help="run the full acceptance suite")
-    vf.add_argument("--workers", type=int, default=None)
+    vf.add_argument("--workers", type=_int_at_least(1), default=None)
 
     args = parser.parse_args(argv)
 
     if args.command == "sweep":
-        config = _build_sweep_config(args)
+        try:
+            config = _build_sweep_config(args)
+        except (OSError, ValueError) as exc:
+            sw.error(str(exc))
         if args.dump_sdp:
             os.makedirs(args.dump_sdp, exist_ok=True)
             config = replace(config, workers=1)
@@ -548,11 +569,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     if args.command == "heatmap":
-        with open(args.table) as fh:
-            rows = rows_from_csv(fh.read())
-        if args.method:
-            rows = [r for r in rows if r.method == args.method]
-        render_heatmap(rows, args.column, args.out)
+        try:
+            with open(args.table) as fh:
+                rows = rows_from_csv(fh.read())
+            if args.method:
+                rows = [r for r in rows if r.method == args.method]
+            render_heatmap(rows, args.column, args.out)
+        except (OSError, ValueError) as exc:
+            hm.error(str(exc))
         return EXIT_OK
 
     if args.command == "witness":

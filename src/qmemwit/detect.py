@@ -166,15 +166,8 @@ def witness_sdp(
     problem = sdp.SdpProblem.from_constraints(
         (dim,), sdp.BlockMatrix([m.mat]), cons
     )
-    result = sdp.solve(problem)
-    verification = sdp.verify(problem, result)
-    diagnostics = {
-        "solver_status": result.status,
-        "iterations": result.info.get("iterations"),
-        "verified": verification.ok,
-        "verification": str(verification),
-    }
-    if result.status != sdp.OPTIMAL or not verification.ok:
+    result, diagnostics = _solve_verified(problem)
+    if result.status != sdp.OPTIMAL or not diagnostics["verified"]:
         return WitnessReport(METHOD_PPT_SDP, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics)
     optimum = -result.objective_value
     diagnostics["optimum"] = optimum
@@ -187,137 +180,136 @@ def witness_sdp(
     return WitnessReport(METHOD_PPT_SDP, VERDICT_INCONCLUSIVE, value, None, diagnostics)
 
 
+def _solve_verified(problem: sdp.SdpProblem) -> tuple[sdp.SdpResult, dict]:
+    """Solve, recompute every invariant with ``sdp.verify``, report both."""
+    result = sdp.solve(problem)
+    verification = sdp.verify(problem, result)
+    return result, {
+        "solver_status": result.status,
+        "iterations": result.info.get("iterations"),
+        "verified": verification.ok,
+        "verification": str(verification),
+    }
+
+
 # ---------------------------------------------------------------------------
 # level 2: symmetric extension (one SDP, three PSD blocks, linear links)
 # ---------------------------------------------------------------------------
 
 
 def _hermitian_basis(n: int):
-    """Basis elements paired with entry coordinates: Tr(H X) reads re/im parts."""
-    out = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        out.append(("re", i, i, e))
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 0.5
-            e[j, i] = 0.5
-            out.append(("re", i, j, e))
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 0.5j
-            e[j, i] = -0.5j
-            out.append(("im", i, j, e))
-    return out
+    """Hermitian basis of the n x n matrices, the n diagonal units first.
+
+    Returns the (n^2, n, n) stack and, per element H, its entry (i, j) and
+    whether Tr(H X) reads Re X_ij (True) or Im X_ij (False) of a Hermitian X.
+    """
+    entries = [(i, i, True) for i in range(n)] + [
+        (i, j, re) for i in range(n) for j in range(i + 1, n) for re in (True, False)
+    ]
+    stack = np.zeros((n * n, n, n), dtype=complex)
+    for k, (i, j, re) in enumerate(entries):
+        if i == j:
+            stack[k, i, i] = 1.0
+        elif re:
+            stack[k, i, j] = stack[k, j, i] = 0.5
+        else:
+            stack[k, i, j], stack[k, j, i] = 0.5j, -0.5j
+    rows, cols, real = (np.array(column) for column in zip(*entries))
+    return stack, rows, cols, real
 
 
 class _Dps2Template:
     """Constraint structure of the level-2 extension SDP, shared across points.
 
-    The extension variable lives on (A_I, A_O, B_I, A_I2); the three PSD
-    blocks are the extension, its partial transpose on the second copy of
-    A_I, and its partial transpose on B = (A_O, B_I), tied together by
-    entrywise linear constraints.  Only the marginal right-hand side depends
-    on the process matrix under test.
+    The extension X lives on (A_I, A_O, B_I, A_I2), of side n = d_ab * d_ai
+    with d_ab = d_ai * d_ao * d_bi.  The three PSD blocks are X, its partial
+    transpose on the second A_I copy and its partial transpose on
+    B = (A_O, B_I).  The rows, each group in ``_hermitian_basis`` order:
+
+    - rows [0, d_ab^2): the marginal Tr_{A_I2} X = rho, with h (x) 1 on block 0;
+    - the next n^2 rows: block 1 is X^{T_{A_I2}}, with -h^{T_{A_I2}} on
+      block 0 and h on block 1;
+    - the next n^2 rows: block 2 is X^{T_B}, with -h^{T_B} on block 0 and h
+      on block 2;
+    - the remaining rows: swap symmetry between the two A_I copies.
+
+    Only the marginal right-hand side depends on the process matrix under
+    test.  ``y_identity`` is the multiplier with A*(y) = -I on every block:
+    -1 on the n diagonal rows of each link group gives -I on blocks 1 and 2
+    and +2 I on block 0 (a partial transpose fixes a diagonal unit), and -3
+    on the d_ab diagonal marginal rows brings block 0 to -I.
     """
 
-    def __init__(self, dims=(2, 2, 2), pt_on_first_copy: bool = False):
+    def __init__(self, dims=(2, 2, 2)):
         d_ai, d_ao, d_bi = dims
         d_ab = d_ai * d_ao * d_bi
         ext_factors = [(A_I, d_ai), (A_O, d_ao), (B_I, d_bi), (EXTENSION_LABEL, d_ai)]
         n = d_ab * d_ai
-        self.dims = dims
-        self.n = n
-        zero = np.zeros((n, n), dtype=complex)
-
-        ops1, ops2, ops3 = [], [], []
-        b_marginal: list[tuple[str, int, int]] = []
-
-        def add(a1, a2, a3):
-            ops1.append(a1 if a1 is not None else zero)
-            ops2.append(a2 if a2 is not None else zero)
-            ops3.append(a3 if a3 is not None else zero)
 
         # marginal over the extension copy equals the state under test
-        self.marginal_rows = []
-        self.marginal_basis = []
-        for kind, i, j, h in _hermitian_basis(d_ab):
-            lifted = np.kron(h, np.eye(d_ai, dtype=complex))
-            add(lifted, None, None)
-            self.marginal_rows.append(len(ops1) - 1)
-            self.marginal_basis.append(h)
-            b_marginal.append((kind, i, j))
-        self.marginal_entries = b_marginal
+        self.marginal_basis, rows, cols, self.marginal_real = _hermitian_basis(d_ab)
+        self.marginal_index = (rows, cols)
+        lift = np.eye(d_ai, dtype=complex)
+        marginal = np.stack([np.kron(h, lift) for h in self.marginal_basis])
 
-        # block 2 is the partial transpose on one A_I copy, block 3 on B
-        pt_label = A_I if pt_on_first_copy else EXTENSION_LABEL
-        for _, _, _, h in _hermitian_basis(n):
-            hop = tl.operator(ext_factors, h)
-            add(-tl.partial_transpose(hop, {pt_label}).mat, h, None)
-        for _, _, _, h in _hermitian_basis(n):
-            hop = tl.operator(ext_factors, h)
-            add(-tl.partial_transpose(hop, {A_O, B_I}).mat, None, h)
+        # block 1 is the partial transpose on the second A_I copy, block 2 on B
+        link_basis = _hermitian_basis(n)[0]
 
-        # swap symmetry between the two A_I copies
-        perm = np.zeros(n, dtype=int)
-        for a in range(d_ai):
-            for ob in range(d_ao * d_bi):
-                for a2 in range(d_ai):
-                    perm[(a * d_ao * d_bi + ob) * d_ai + a2] = (
-                        a2 * d_ao * d_bi + ob
-                    ) * d_ai + a
-        for op in _swap_orbit_constraints(n, perm):
-            add(op, None, None)
+        def transposed(labels):
+            return np.stack(
+                [tl.partial_transpose(tl.operator(ext_factors, h), labels).mat for h in link_basis]
+            )
 
+        # swap symmetry between the two A_I copies: (a, ob, a2) -> (a2, ob, a)
+        perm = np.arange(n).reshape(d_ai, d_ao * d_bi, d_ai).transpose(2, 1, 0).reshape(-1)
+        swap = np.reshape(_swap_orbit_constraints(n, perm), (-1, n, n))
+
+        def zeros(k):
+            return np.zeros((k, n, n), dtype=complex)
+
+        d2, n2 = d_ab * d_ab, n * n
+        stacks = [
+            np.concatenate(
+                [marginal, -transposed({EXTENSION_LABEL}), -transposed({A_O, B_I}), swap]
+            ),
+            np.concatenate([zeros(d2), link_basis, zeros(n2 + len(swap))]),
+            np.concatenate([zeros(d2 + n2), link_basis, zeros(len(swap))]),
+        ]
         self.block_dims = (n, n, n)
-        self.constraint_set = sdp.ConstraintSet(
-            self.block_dims, [np.stack(ops1), np.stack(ops2), np.stack(ops3)]
-        )
+        self.constraint_set = sdp.ConstraintSet(self.block_dims, stacks)
         self.m = self.constraint_set.m
-        self._y_identity: np.ndarray | None = None
+        self.y_identity = np.zeros(self.m)
+        self.y_identity[:d_ab] = -3.0
+        self.y_identity[d2 : d2 + n] = -1.0
+        self.y_identity[d2 + n2 : d2 + n2 + n] = -1.0
 
     def problem(self, w: ProcessMatrix) -> sdp.SdpProblem:
         rho = tl.reorder(w.op, PROCESS_LABELS).mat / w.op.trace().real
+        entries = rho[self.marginal_index]
         b = np.zeros(self.m)
-        for row, (kind, i, j) in zip(self.marginal_rows, self.marginal_entries):
-            b[row] = rho[i, j].real if kind == "re" else rho[i, j].imag
+        b[: entries.size] = np.where(self.marginal_real, entries.real, entries.imag)
         return sdp.SdpProblem(self.block_dims, None, self.constraint_set, b)
-
-    def y_identity(self, problem: sdp.SdpProblem) -> np.ndarray | None:
-        if self._y_identity is None:
-            self._y_identity = sdp.identity_multiplier(problem)
-        return self._y_identity
 
 
 @lru_cache(maxsize=4)
-def _dps2_template(dims=(2, 2, 2), pt_on_first_copy: bool = False) -> _Dps2Template:
-    return _Dps2Template(dims, pt_on_first_copy)
+def _dps2_template(dims=(2, 2, 2)) -> _Dps2Template:
+    return _Dps2Template(dims)
 
 
-def dps2_feasibility(
-    w: ProcessMatrix, pt_on_first_copy: bool = False
-) -> WitnessReport:
+def dps2_feasibility(w: ProcessMatrix) -> WitnessReport:
     """Level-2 symmetric-extension test; infeasibility certifies quantum memory.
 
     Feasibility of the extension SDP is inconclusive (consistent with
     classical memory); infeasibility yields a verdict together with the
     witness mapped back from the verified Farkas certificate.
     """
-    template = _dps2_template(w.dims, pt_on_first_copy)
+    template = _dps2_template(w.dims)
     problem = template.problem(w)
-    result = sdp.solve(problem)
-    verification = sdp.verify(problem, result)
-    diagnostics = {
-        "solver_status": result.status,
-        "iterations": result.info.get("iterations"),
-        "verified": verification.ok,
-        "verification": str(verification),
-    }
-    if result.status == sdp.OPTIMAL and verification.ok:
+    result, diagnostics = _solve_verified(problem)
+    if result.status == sdp.OPTIMAL and diagnostics["verified"]:
         return WitnessReport(METHOD_DPS2, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics)
-    if result.status == sdp.INFEASIBLE and verification.ok:
-        witness, value = _certificate_witness(template, problem, w, result)
+    if result.status == sdp.INFEASIBLE and diagnostics["verified"]:
+        witness, value = _certificate_witness(template, problem, w, result.certificate.y)
         diagnostics["certificate_min_eig"] = result.info.get("certificate_min_eig")
         return WitnessReport(METHOD_DPS2, VERDICT_QUANTUM, value, witness, diagnostics)
     # solver failure: verdict withheld
@@ -325,47 +317,40 @@ def dps2_feasibility(
     return WitnessReport(METHOD_DPS2, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics)
 
 
-def dps2_witness(w: ProcessMatrix) -> WitnessReport:
-    """Witness extracted from the infeasibility certificate of the extension SDP."""
-    report = dps2_feasibility(w)
-    if report.verdict != VERDICT_QUANTUM or report.witness is None:
-        raise ValueError(
-            "no certificate: the extension SDP did not prove infeasibility"
-        )
-    return report
-
-
 def _certificate_witness(
-    template: _Dps2Template,
-    problem: sdp.SdpProblem,
-    w: ProcessMatrix,
-    result: sdp.SdpResult,
+    template: _Dps2Template, problem: sdp.SdpProblem, w: ProcessMatrix, y: np.ndarray
 ):
-    """Map a Farkas certificate back through the marginal constraints.
+    """Map a Farkas certificate y back through the marginal rows to a witness.
 
-    With S = -A*(y) >= 0 and b.y = 1, the operator Z = -sum of marginal
-    multipliers times their basis elements satisfies Tr(Z sigma) >= 0 for
-    every state admitting a PPT symmetric extension, and Tr(Z rho) = -1.
-    The multiplier along the identity direction polishes S to be exactly PSD
-    so the witness property survives in floating point.
+    Only the marginal rows k < d_ab^2 have a right-hand side, b_k = Tr(h_k rho),
+    so Z = -sum_k y_k h_k over those rows has Tr(Z sigma) = -b(sigma).y.  For a
+    state sigma with a PPT symmetric extension X that is <S, X> >= 0, where
+    S = -A*(y) >= 0; for the state under test, b.y = 1 gives Tr(Z rho) = -1.
+    The certificate is first polished (``_polish_certificate``) so that S is
+    PSD in floating point.
     """
-    y = result.certificate.y.copy()
-    y_id = template.y_identity(problem)
-    if y_id is not None:
-        s_min = _adjoint_min_eig(problem, y)
-        if s_min < 0:
-            t = -s_min * 1.05 + 1e-13
-            y = y + t * y_id
-            by = float(problem.b @ y)
-            if by > 0:
-                y = y / by
-    d_ab = template.n // template.dims[0]
-    z = np.zeros((d_ab, d_ab), dtype=complex)
-    for row, h in zip(template.marginal_rows, template.marginal_basis):
-        z -= y[row] * h
+    y = _polish_certificate(template, problem, y)
+    marginal = len(template.marginal_basis)
+    z = np.tensordot(-y[:marginal], template.marginal_basis, axes=(0, 0))
     witness = tl.operator(list(zip(PROCESS_LABELS, w.dims)), z).hermitized()
     value = float(np.trace(witness.mat @ tl.reorder(w.op, PROCESS_LABELS).mat).real)
     return witness, value
+
+
+def _polish_certificate(
+    template: _Dps2Template, problem: sdp.SdpProblem, y: np.ndarray
+) -> np.ndarray:
+    """Shift y along ``y_identity`` until S = -A*(y) is PSD, then rescale b.y to 1.
+
+    Adding t * y_identity adds t I to S; the least eigenvalue of S is
+    recomputed from the constraint stacks, independently of the solver.
+    """
+    s_min = _adjoint_min_eig(problem, y)
+    if s_min >= 0:
+        return y
+    y = y + (-s_min * 1.05 + 1e-13) * template.y_identity
+    by = float(problem.b @ y)
+    return y / by if by > 0 else y
 
 
 def _adjoint_min_eig(problem: sdp.SdpProblem, y: np.ndarray) -> float:

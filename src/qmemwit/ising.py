@@ -8,7 +8,6 @@ here is a pure function of (J, h, t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,20 +15,6 @@ from . import process as pr
 from . import tensorlinalg as tl
 from .process import A_I, A_O, B_I, E_I, E_O, ProcessMatrix
 from .tensorlinalg import PAULI_X, PAULI_Z, TensorOperator
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Coupling strength J, field strength h, interaction time t (hbar = 1)."""
-
-    J: float
-    h: float
-    t: float = 1.0
-
-    def __post_init__(self):
-        for v in (self.J, self.h, self.t):
-            if not math.isfinite(v):
-                raise ValueError("parameters must be finite")
 
 
 def hamiltonian(J: float, h: float) -> TensorOperator:

@@ -82,10 +82,6 @@ class BlockMatrix:
     def zeros(dims: Sequence[int]) -> "BlockMatrix":
         return BlockMatrix([np.zeros((d, d), dtype=complex) for d in dims])
 
-    @staticmethod
-    def identity(dims: Sequence[int]) -> "BlockMatrix":
-        return BlockMatrix([np.eye(d, dtype=complex) for d in dims])
-
 
 class ConstraintSet:
     """Stacked constraint operators <A_k, X> for one block structure.
@@ -202,10 +198,6 @@ class SdpProblem:
             (self.constraint_set.operator(k), float(self.b[k]))
             for k in range(self.constraint_set.m)
         ]
-
-    @property
-    def feasibility(self) -> bool:
-        return self.objective is None
 
 
 @dataclass
@@ -688,29 +680,6 @@ def verify(problem: SdpProblem, result: SdpResult) -> VerificationReport:
     else:
         checks["conclusive_status"] = (False, 0.0, 0.0)
     return VerificationReport(checks)
-
-
-def identity_multiplier(problem: SdpProblem) -> np.ndarray | None:
-    """Multipliers y with A*(y) = -identity, if the identity is in range of A*.
-
-    Used to polish Farkas certificates toward exact dual feasibility; returns
-    None when no such y exists to working precision.
-    """
-    ops = problem.constraint_set
-    if ops.m == 0:
-        return None
-    flat = np.concatenate(
-        [s.reshape(ops.m, -1) for s in ops.stacks], axis=1
-    )  # complex (m, sum n^2)
-    target = -np.concatenate(
-        [np.eye(d, dtype=complex).reshape(-1) for d in problem.block_dims]
-    )
-    a_real = np.concatenate([flat.real, flat.imag], axis=1)
-    t_real = np.concatenate([target.real, target.imag])
-    y, *_ = np.linalg.lstsq(a_real.T, t_real, rcond=None)
-    if np.linalg.norm(a_real.T @ y - t_real) > 1e-9:
-        return None
-    return y
 
 
 # ---------------------------------------------------------------------------

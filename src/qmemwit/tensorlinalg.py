@@ -117,9 +117,6 @@ class TensorOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
 
-    def dagger(self) -> "TensorOperator":
-        return TensorOperator(self.space, self.mat.conj().T)
-
     def is_hermitian(self, tol: float = HERM_TOL) -> bool:
         return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
 

@@ -140,6 +140,19 @@ class TestSweep:
                 cli.main(argv + [x for kv in point.items() for x in kv])
             assert exc.value.code == 2
 
+    def test_count_flags_below_one_are_usage_errors(self, tmp_path, capsys):
+        out = str(tmp_path / "rows.csv")
+        for argv in (
+            ["sweep", "--workers", "0", "--out", out],
+            ["sweep", "--stride", "0", "--out", out],
+            ["verify", "--workers", "0"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_multiline_error_keeps_csv_rows_whole(self, monkeypatch):
         def fail(w, **kwargs):
             raise ValueError("first line\n  second line")
@@ -210,6 +223,35 @@ class TestHeatmap:
         with pytest.raises(ValueError, match="unknown column"):
             cli.render_heatmap(self._rows(), "verdict", str(tmp_path / "x.svg"))
 
+    def test_empty_selection_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="empty table"):
+            cli.render_heatmap([], "value", str(tmp_path / "x.svg"))
+        table = tmp_path / "ppt.csv"
+        table.write_text(cli.rows_to_csv(self._rows()))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["heatmap", "--table", str(table), "--method", "dps2",
+                      "--out", str(tmp_path / "x.svg")])
+        assert exc.value.code == 2
+        assert "empty table" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_unknown_column_flag_is_a_usage_error(self, tmp_path, capsys):
+        table = tmp_path / "ppt.csv"
+        table.write_text(cli.rows_to_csv(self._rows()))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["heatmap", "--table", str(table), "--column", "J",
+                      "--out", str(tmp_path / "x.svg")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'J'" in capsys.readouterr().err
+
+    def test_wrong_header_is_a_usage_error(self, tmp_path, capsys):
+        table = tmp_path / "bad.csv"
+        table.write_text("J,h,value\n1,1,0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["heatmap", "--table", str(table), "--out", str(tmp_path / "x.svg")])
+        assert exc.value.code == 2
+        assert "expected header" in capsys.readouterr().err
+
     def test_mixed_methods_rejected(self, tmp_path):
         config = cli.SweepConfig(
             j_range=cli.Range(0.0, 1.0, 2), h_range=cli.Range(0.0, 1.0, 2),
@@ -253,6 +295,14 @@ class TestWitnessExport:
         )
         assert code == cli.EXIT_INCONCLUSIVE
 
+    def test_negative_validate_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["witness", "--j", "1", "--h", "1", "--out", str(out), "--validate", "-5"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dps2_export(self, tmp_path):
         path = tmp_path / "d.json"
         payload = cli.export_witness(1.0, 1.0, 1.0, "dps2", str(path))
@@ -280,6 +330,43 @@ class TestConfigFile:
         assert {r.method for r in rows} == {"ppt", "markov_distance"}
         assert all(r.t == 1.0 for r in rows)  # flag overrides config
         assert len(rows) == 9 * 2
+
+    def test_unknown_key_is_a_usage_error(self, tmp_path, capsys):
+        # misspelled keys were ignored: this file swept ppt at one worker
+        conf = tmp_path / "sweep.conf"
+        conf.write_text("methods = dps2\nwokers = 4\n")
+        out = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", str(conf), "--j-range", "1:1:1",
+                      "--h-range", "1:1:1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'methods'" in err and "'wokers'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line", ["workers = 0", "stride = two", "j_range = 0:1:0.3", "method = ppt, bogus"]
+    )
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, line):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(line + "\n")
+        out = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", str(conf), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        for argv in (
+            ["sweep", "--config", missing],
+            ["heatmap", "--table", missing, "--out", str(tmp_path / "x.svg")],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "No such file" in capsys.readouterr().err
 
     def test_malformed_config(self, tmp_path):
         conf = tmp_path / "bad.conf"

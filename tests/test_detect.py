@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmemwit import detect, ising
+from qmemwit import detect, ising, sdp
 from qmemwit import process as pr
 from qmemwit import tensorlinalg as tl
 
@@ -134,13 +134,6 @@ class TestDps2:
             assert report.verdict == detect.VERDICT_INCONCLUSIVE, (seed, report.diagnostics)
             assert report.diagnostics["solver_status"] == "optimal"
 
-    def test_transpose_copy_choice_equivalent(self, w111, w_pi0):
-        # swap symmetry makes the two A-copy transposes interchangeable
-        for w in (w111, w_pi0):
-            a = detect.dps2_feasibility(w)
-            b = detect.dps2_feasibility(w, pt_on_first_copy=True)
-            assert a.verdict == b.verdict
-
     def test_hierarchy_at_least_as_strong_as_ppt(self):
         rng = np.random.default_rng(17)
         for _ in range(8):
@@ -153,19 +146,60 @@ class TestDps2:
 
 class TestDps2Witness:
     def test_negative_on_target_state(self, w111):
-        report = detect.dps2_witness(w111)
+        report = detect.dps2_feasibility(w111)
         rho = w111.op.mat / np.trace(w111.op.mat).real
         assert np.trace(report.witness.mat @ rho).real < -1e-3
 
     def test_validated_against_classical_samples(self, w111):
-        report = detect.dps2_witness(w111)
+        report = detect.dps2_feasibility(w111)
         validation = detect.validate_witness(report.witness, 1000, seed=5)
         assert validation.min_value >= -1e-9
         assert not validation.failures
 
-    def test_no_certificate_error(self, w_pi0):
-        with pytest.raises(ValueError, match="no certificate"):
-            detect.dps2_witness(w_pi0)
+    def test_no_witness_without_certificate(self, w_pi0):
+        report = detect.dps2_feasibility(w_pi0)
+        assert report.diagnostics["solver_status"] == sdp.OPTIMAL
+        assert report.verdict == detect.VERDICT_INCONCLUSIVE
+        assert report.witness is None
+        assert "certificate_min_eig" not in report.diagnostics
+
+
+class TestDps2Template:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 1, 2)])
+    def test_identity_multiplier_is_exact(self, dims):
+        template = detect._dps2_template(dims)
+        for stack in template.constraint_set.stacks:
+            adjoint = np.tensordot(template.y_identity, stack, axes=(0, 0))
+            assert np.array_equal(adjoint, -np.eye(stack.shape[1]))
+
+    def test_marginal_rows_read_the_state(self, w111):
+        # the marginal right-hand side is b_k = Tr(h_k rho) for basis element h_k
+        template = detect._dps2_template(w111.dims)
+        problem = template.problem(w111)
+        rho = w111.op.mat / np.trace(w111.op.mat).real
+        expected = np.einsum("kij,ji->k", template.marginal_basis, rho).real
+        assert np.max(np.abs(problem.b[: expected.size] - expected)) <= 1e-15
+        assert not problem.b[expected.size :].any()
+
+    def test_polishing_restores_a_psd_certificate(self, w111):
+        template = detect._dps2_template(w111.dims)
+        problem = template.problem(w111)
+        result = sdp.solve(problem)
+        assert result.status == sdp.INFEASIBLE and sdp.verify(problem, result).ok
+        y = result.certificate.y
+        # adding t * y_identity to y adds t I to S = -A*(y): push S below zero
+        shifted = y - (detect._adjoint_min_eig(problem, y) + 1e-3) * template.y_identity
+        assert detect._adjoint_min_eig(problem, shifted) < -9e-4
+        polished = detect._polish_certificate(template, problem, shifted)
+        for stack in problem.constraint_set.stacks:
+            s_blk = -np.tensordot(polished, stack, axes=(0, 0))
+            assert np.linalg.eigvalsh((s_blk + s_blk.conj().T) / 2)[0] >= 0
+        assert abs(problem.b @ polished - 1.0) <= 1e-12
+        witness, value = detect._certificate_witness(template, problem, w111, shifted)
+        rho = w111.op.mat / np.trace(w111.op.mat).real
+        assert abs(np.trace(witness.mat @ rho).real + 1.0) <= 1e-9
+        assert value < 0
+        assert not detect.validate_witness(witness, 1000).failures
 
 
 class TestValidateWitness:

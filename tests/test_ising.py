@@ -202,9 +202,3 @@ class TestFactorizes:
             assert not ising.factorizes(ising.evolution(j, h, 1.0), tol=1e-8)
             count += 1
         assert count > 450
-
-
-class TestModelParams:
-    def test_finite_required(self):
-        with pytest.raises(ValueError):
-            ising.ModelParams(float("inf"), 0.0, 1.0)

@@ -285,19 +285,6 @@ class TestVerify:
             assert dobj <= pobj + 1e-7 * (1 + abs(pobj))
 
 
-class TestIdentityMultiplier:
-    def test_found_when_identity_in_range(self):
-        p = SdpProblem.from_constraints((3,), None, [(eye_bm(3), 1.0)])
-        y = sdp.identity_multiplier(p)
-        assert y is not None
-        assert np.isclose(y[0], -1.0)
-
-    def test_none_when_out_of_range(self):
-        sx = BlockMatrix([np.array([[0, 1], [1, 0]], dtype=complex)])
-        p = SdpProblem.from_constraints((2,), None, [(sx, 0.0)])
-        assert sdp.identity_multiplier(p) is None
-
-
 class TestSerialization:
     def test_problem_roundtrip(self):
         rng = np.random.default_rng(29)
