@@ -16,8 +16,9 @@ from qmemwit import cli
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out")
-    parser.add_argument("--stride", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    # the parser of ``qmemwit sweep --stride/--workers``: below 1 is a usage error
+    parser.add_argument("--stride", type=cli._int_at_least(1), default=1)
+    parser.add_argument("--workers", type=cli._int_at_least(1), default=os.cpu_count() or 1)
     parser.add_argument("--norm", choices=("trace", "frobenius"), default="trace")
     args = parser.parse_args()
 

@@ -7,7 +7,6 @@ asserts that none failed.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import os
 import time
@@ -17,6 +16,7 @@ import numpy as np
 
 from . import cli, detect, ising
 from . import process as pr
+from . import sdp
 from . import tensorlinalg as tl
 
 POINT_SEED = 906041
@@ -197,19 +197,6 @@ def criterion_5(state: SuiteState) -> CriterionResult:
     return _timed(5, "witness soundness", 120.0, run)
 
 
-def _dps2_stride_point(args):
-    j, h = args
-    w = ising.process_matrix(j, h, 1.0)
-    report = detect.dps2_feasibility(w)
-    return (
-        j,
-        h,
-        report.verdict,
-        bool(report.diagnostics.get("verified")),
-        detect.ppt_min_eig(w),
-    )
-
-
 def ppt_violations(ppt: dict, lattice) -> tuple[list, list]:
     """Grid points whose ppt value contradicts the phase diagram.
 
@@ -225,6 +212,27 @@ def ppt_violations(ppt: dict, lattice) -> tuple[list, list]:
     ]
     h0 = [p for p, r in ppt.items() if p[1] == 0.0 and not abs(r.value) <= PPT_MARGIN]
     return far, h0
+
+
+def dps2_disagreements(ppt: dict, dps2_rows) -> tuple[list, list]:
+    """The dps2 sweep rows that contradict the ppt rows, and the unverified ones.
+
+    Where the ppt value lambda at a row's point exceeds PPT_MARGIN in
+    magnitude, the row must read ``quantum_memory`` for lambda < 0 and
+    ``inconclusive`` for lambda > 0; each contradiction is listed as
+    (J, h, lambda, verdict).  A row is verified only if its status is
+    ``optimal`` or ``infeasible``; the points of the others are listed too.
+    """
+    disagree, unverified = [], []
+    for r in dps2_rows:
+        if r.status not in (sdp.OPTIMAL, sdp.INFEASIBLE):
+            unverified.append((r.J, r.h))
+        lam = ppt[(r.J, r.h)].value
+        if abs(lam) > PPT_MARGIN:
+            expected = detect.VERDICT_QUANTUM if lam < 0 else detect.VERDICT_INCONCLUSIVE
+            if r.verdict != expected:
+                disagree.append((r.J, r.h, lam, r.verdict))
+    return disagree, unverified
 
 
 def criterion_6(state: SuiteState, workers: int | None = None) -> CriterionResult:
@@ -269,33 +277,17 @@ def criterion_6(state: SuiteState, workers: int | None = None) -> CriterionResul
                 f"nonzero distance at {len(direct_bad)} lattice points"
             )
 
-        stride_pts = [
-            (j, h)
-            for j in grid.values(stride=5)
-            for h in grid.values(stride=5)
-        ]
-        disagree = []
-        unverified = 0
-        if workers == 1:
-            outcomes = [_dps2_stride_point(p) for p in stride_pts]
-        else:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_dps2_stride_point, stride_pts, chunksize=16))
-        for j, h, verdict, verified, lam in outcomes:
-            state.verifications.append(verified)
-            if not verified:
-                unverified += 1
-            if abs(lam) > PPT_MARGIN:
-                ppt_verdict = (
-                    detect.VERDICT_QUANTUM if lam < -PPT_MARGIN else detect.VERDICT_INCONCLUSIVE
-                )
-                if verdict != ppt_verdict:
-                    disagree.append((j, h, lam, verdict))
-        ok = not disagree and unverified == 0
+        dps2_rows = cli.sweep(
+            cli.SweepConfig(grid, grid, stride=5, methods=("dps2",), workers=workers)
+        )
+        disagree, unverified = dps2_disagreements(ppt, dps2_rows)
+        state.verifications += [False] * len(unverified)
+        state.verifications += [True] * (len(dps2_rows) - len(unverified))
+        ok = not disagree and not unverified
         return ok, (
             f"PPT sweep {len(ppt)} points in {t_ppt:.1f}s, all structure checks hold; "
-            f"dps2 vs ppt on {len(stride_pts)} stride points: "
-            f"{len(disagree)} disagreements, {unverified} unverified solves"
+            f"dps2 vs ppt on {len(dps2_rows)} stride points: "
+            f"{len(disagree)} disagreements, {len(unverified)} unverified solves"
         )
 
     return _timed(6, "phase-diagram reproduction", 1020.0, run)

@@ -9,7 +9,8 @@ Commands:
 Grid convention: ``--j-range a:b:s`` takes the step *size* s with inclusive
 endpoints (0:10:0.0667 gives 151 points).  Sweep rows are ordered J-major
 then h and are independent of the worker count.  Exit codes: 0 success,
-2 usage error or witness export at an inconclusive point, 3 solver failure.
+2 usage error or witness export at an inconclusive point, 3 solver failure
+or a solver result that ``sdp.verify`` rejected.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,8 +135,35 @@ def _error_row(J: float, h: float, t: float, method: str, exc) -> SweepRow:
     return SweepRow(J, h, t, method, float("nan"), "error", f"error:{message}")
 
 
-def _evaluate_point(J: float, h: float, t: float, methods) -> dict[str, SweepRow]:
-    """The witness methods at one point, on one process matrix."""
+def _row_status(report: detect.WitnessReport) -> str:
+    """The solver status of an SDP method (``ok`` otherwise), marked
+    ``unverified:`` when the status is conclusive but ``sdp.verify`` failed."""
+    status = str(report.diagnostics.get("solver_status", "ok"))
+    if status in (sdp.OPTIMAL, sdp.INFEASIBLE) and not report.diagnostics["verified"]:
+        return f"unverified:{status}"
+    return status
+
+
+def _failed(status: str) -> bool:
+    """A row status that makes ``sweep`` exit with EXIT_SOLVER_FAILURE."""
+    return status.startswith(("error:", "unverified:")) or status in (sdp.MAX_ITER, sdp.FAILURE)
+
+
+def _dump_sdp(path: str, report: detect.WitnessReport) -> None:
+    """Write the SDP behind a report, problem and result, as JSON."""
+    problem, result = report.sdp_run
+    with open(path, "w") as fh:
+        json.dump(
+            {"problem": sdp.problem_to_json(problem), "result": sdp.result_to_json(result)}, fh
+        )
+
+
+def _evaluate_point(J: float, h: float, t: float, methods, dump_stem=None) -> dict[str, SweepRow]:
+    """The witness methods at one point, on one process matrix.
+
+    With ``dump_stem`` set, each SDP solved is written to
+    ``<dump_stem>_<method>.json``.
+    """
     try:
         w = ising.process_matrix(J, h, t)
     except Exception as exc:
@@ -144,10 +172,12 @@ def _evaluate_point(J: float, h: float, t: float, methods) -> dict[str, SweepRow
     for method in methods:
         try:
             report = WITNESS_METHODS[method](w)
+            if dump_stem and report.sdp_run:
+                _dump_sdp(f"{dump_stem}_{method}.json", report)
         except Exception as exc:
             rows[method] = _error_row(J, h, t, method, exc)
         else:
-            status = str(report.diagnostics.get("solver_status", "ok"))
+            status = _row_status(report)
             rows[method] = SweepRow(J, h, t, method, report.value, report.verdict, status)
     return rows
 
@@ -156,14 +186,16 @@ def _sweep_row(task) -> list[SweepRow]:
     """Every configured method at each h of one J row, in ``methods`` order per point.
 
     ``ppt`` and ``markov_distance`` come from the batched kernel over the
-    whole row; the SDP methods are solved point by point.
+    whole row; the SDP methods are solved point by point.  The task holds
+    the row's J index ``i``, which with the h index names its SDP dumps.
     """
-    J, hs, t, methods, norm = task
+    i, J, hs, t, methods, norm, dump_dir = task
     columns = batch.evaluate_row(J, hs, t, norm) if set(methods) & set(batch.METHODS) else {}
     per_point = [m for m in methods if m not in columns]
     rows = []
     for k, h in enumerate(hs):
-        solved = _evaluate_point(J, h, t, per_point) if per_point else {}
+        stem = dump_dir and os.path.join(dump_dir, f"sdp_{i:04d}_{k:04d}")
+        solved = _evaluate_point(J, h, t, per_point, stem) if per_point else {}
         for method in methods:
             if method not in columns:
                 rows.append(solved[method])
@@ -177,17 +209,18 @@ def _sweep_row(task) -> list[SweepRow]:
     return rows
 
 
-def sweep(config: SweepConfig) -> list[SweepRow]:
+def sweep(config: SweepConfig, dump_dir: str | None = None) -> list[SweepRow]:
     """Evaluate the configured methods on every grid point, J-major then h.
 
     One task per J row; with several workers the rows are spread over a
     process pool.  Per-point failures are recorded in their rows and the
-    sweep continues.  Row values do not depend on the worker count.
+    sweep continues.  Row values do not depend on the worker count, and
+    neither do the names and bytes of the SDP dumps written to ``dump_dir``.
     """
     hs = config.h_range.values(config.stride)
     tasks = [
-        (J, hs, config.t, config.methods, config.norm)
-        for J in config.j_range.values(config.stride)
+        (i, J, hs, config.t, config.methods, config.norm, dump_dir)
+        for i, J in enumerate(config.j_range.values(config.stride))
     ]
     if config.workers == 1:
         chunks = map(_sweep_row, tasks)
@@ -389,17 +422,24 @@ def witness_report_at(J: float, h: float, t: float, method: str) -> detect.Witne
     return WITNESS_METHODS[method](ising.process_matrix(J, h, t))
 
 
-def export_witness(J: float, h: float, t: float, method: str, path: str) -> dict:
+def export_witness(
+    J: float, h: float, t: float, method: str, path: str, dump_dir: str | None = None
+) -> dict:
     """Write the witness found at (J, h, t) to a JSON file.
 
     The exported operator is rescaled to unit spectral norm; the recorded
     value is Tr(Z W) for the rescaled witness, with the raw method value kept
-    in the diagnostics.  Raises InconclusivePoint when there is no witness.
+    in the diagnostics.  Raises SolverFailure when the solver failed or its
+    result is unverified, and InconclusivePoint when there is no witness.
+    With ``dump_dir`` set, the SDP solved is written there first, as
+    ``sdp_<method>.json``.
     """
     report = witness_report_at(J, h, t, method)
-    status = str(report.diagnostics.get("solver_status", "ok"))
-    if status in (sdp.MAX_ITER, sdp.FAILURE):
-        raise SolverFailure(f"solver did not converge at ({J}, {h}, {t}): {status}")
+    if dump_dir and report.sdp_run:
+        _dump_sdp(os.path.join(dump_dir, f"sdp_{method}.json"), report)
+    status = _row_status(report)
+    if _failed(status):
+        raise SolverFailure(f"no verified solver result at ({J}, {h}, {t}): {status}")
     if report.verdict != detect.VERDICT_QUANTUM or report.witness is None:
         raise InconclusivePoint(
             f"{method} found no quantum-memory witness at (J={J}, h={h}, t={t})"
@@ -522,7 +562,8 @@ def main(argv: list[str] | None = None) -> int:
     sw.add_argument("--stride", type=_int_at_least(1))
     sw.add_argument("--out")
     sw.add_argument("--config")
-    sw.add_argument("--dump-sdp", metavar="DIR", help="dump every SDP solved (forces workers=1)")
+    sw.add_argument("--dump-sdp", metavar="DIR",
+                    help="write each SDP solved to DIR as sdp_<i>_<k>_<method>.json")
 
     hm = sub.add_parser("heatmap", help="render a sweep CSV as an SVG heatmap")
     hm.add_argument("--table", required=True, help="CSV produced by sweep")
@@ -539,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
     wt.add_argument("--validate", type=_int_at_least(0), metavar="N", default=0,
                     help="also check the witness on N random classical-memory processes")
     wt.add_argument("--seed", type=int, default=2024)
-    wt.add_argument("--dump-sdp", metavar="DIR", help="dump every SDP solved")
+    wt.add_argument("--dump-sdp", metavar="DIR", help="write the SDP solved to DIR as sdp_<method>.json")
 
     vf = sub.add_parser("verify", help="run the full acceptance suite")
     vf.add_argument("--workers", type=_int_at_least(1), default=None)
@@ -553,18 +594,14 @@ def main(argv: list[str] | None = None) -> int:
             sw.error(str(exc))
         if args.dump_sdp:
             os.makedirs(args.dump_sdp, exist_ok=True)
-            config = replace(config, workers=1)
-            with sdp.dump_context(args.dump_sdp):
-                rows = sweep(config)
-        else:
-            rows = sweep(config)
+        rows = sweep(config, args.dump_sdp)
         text = rows_to_csv(rows)
         if config.out:
             with open(config.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        if any(r.status.startswith("error:") or r.status in (sdp.MAX_ITER, sdp.FAILURE) for r in rows):
+        if any(_failed(r.status) for r in rows):
             return EXIT_SOLVER_FAILURE
         return EXIT_OK
 
@@ -580,13 +617,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     if args.command == "witness":
+        if args.dump_sdp:
+            os.makedirs(args.dump_sdp, exist_ok=True)
         try:
-            if args.dump_sdp:
-                os.makedirs(args.dump_sdp, exist_ok=True)
-                with sdp.dump_context(args.dump_sdp):
-                    payload = export_witness(args.j, args.h, args.t, args.method, args.out)
-            else:
-                payload = export_witness(args.j, args.h, args.t, args.method, args.out)
+            payload = export_witness(args.j, args.h, args.t, args.method, args.out, args.dump_sdp)
         except InconclusivePoint as exc:
             print(f"inconclusive: {exc}", file=sys.stderr)
             return EXIT_INCONCLUSIVE

@@ -46,6 +46,8 @@ class WitnessReport:
     value: float
     witness: TensorOperator | None
     diagnostics: dict = field(default_factory=dict)
+    # the SDP behind an SDP method's verdict, as solved; None for ``ppt``
+    sdp_run: tuple[sdp.SdpProblem, sdp.SdpResult] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +169,9 @@ def witness_sdp(
         (dim,), sdp.BlockMatrix([m.mat]), cons
     )
     result, diagnostics = _solve_verified(problem)
+    run = (problem, result)
     if result.status != sdp.OPTIMAL or not diagnostics["verified"]:
-        return WitnessReport(METHOD_PPT_SDP, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics)
+        return WitnessReport(METHOD_PPT_SDP, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics, run)
     optimum = -result.objective_value
     diagnostics["optimum"] = optimum
     z = tl.partial_transpose(TensorOperator(m.space, result.x.blocks[0]), {A_I})
@@ -176,8 +179,8 @@ def witness_sdp(
     tol = tol_detect(w)
     diagnostics["tol"] = tol
     if value < -tol:
-        return WitnessReport(METHOD_PPT_SDP, VERDICT_QUANTUM, value, z, diagnostics)
-    return WitnessReport(METHOD_PPT_SDP, VERDICT_INCONCLUSIVE, value, None, diagnostics)
+        return WitnessReport(METHOD_PPT_SDP, VERDICT_QUANTUM, value, z, diagnostics, run)
+    return WitnessReport(METHOD_PPT_SDP, VERDICT_INCONCLUSIVE, value, None, diagnostics, run)
 
 
 def _solve_verified(problem: sdp.SdpProblem) -> tuple[sdp.SdpResult, dict]:
@@ -306,15 +309,16 @@ def dps2_feasibility(w: ProcessMatrix) -> WitnessReport:
     template = _dps2_template(w.dims)
     problem = template.problem(w)
     result, diagnostics = _solve_verified(problem)
+    run = (problem, result)
     if result.status == sdp.OPTIMAL and diagnostics["verified"]:
-        return WitnessReport(METHOD_DPS2, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics)
+        return WitnessReport(METHOD_DPS2, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics, run)
     if result.status == sdp.INFEASIBLE and diagnostics["verified"]:
         witness, value = _certificate_witness(template, problem, w, result.certificate.y)
         diagnostics["certificate_min_eig"] = result.info.get("certificate_min_eig")
-        return WitnessReport(METHOD_DPS2, VERDICT_QUANTUM, value, witness, diagnostics)
+        return WitnessReport(METHOD_DPS2, VERDICT_QUANTUM, value, witness, diagnostics, run)
     # solver failure: verdict withheld
     diagnostics["reason"] = result.info.get("reason", "unverified result")
-    return WitnessReport(METHOD_DPS2, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics)
+    return WitnessReport(METHOD_DPS2, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics, run)
 
 
 def _certificate_witness(

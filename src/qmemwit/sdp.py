@@ -15,6 +15,12 @@ so block b adds Re(S_b (W_b kron W_b^T) S_b^H) to M, where the rows of the
 sparse S_b are vec(conj A_k) for the constraints with data in block b
 (Fujisawa, Kojima and Nakata, Math. Program. 79 (1997), exploit the same
 sparsity).
+
+The module keeps no state between solves.  Each result explains itself in
+``info``: the iteration count, the per-iteration trajectory of (iteration,
+mu, primal residual, dual residual, gap, tau, kappa) and the reason for any
+failure.  ``problem_to_json`` and ``result_to_json`` serialize one solve;
+the command line's ``--dump-sdp`` writes them per grid point.
 """
 
 from __future__ import annotations
@@ -288,7 +294,7 @@ class _Core:
         parts = np.split(vec, self.splits)
         return [_sym(p.reshape(d, d)) for p, d in zip(parts, self.dims)]
 
-    def solve(self, max_iterations=MAX_ITERATIONS, trace=None):
+    def solve(self, max_iterations=MAX_ITERATIONS):
         dims = self.dims
         x = [np.eye(d, dtype=complex) for d in dims]
         s = [np.eye(d, dtype=complex) for d in dims]
@@ -303,7 +309,8 @@ class _Core:
         best_parts = (np.inf, np.inf, np.inf)
         history: list[float] = []
         status = MAX_ITER
-        info = {"iterations": 0}
+        trajectory: list[tuple] = []
+        info = {"iterations": 0, "trajectory": trajectory}
 
         for it in range(max_iterations):
             info["iterations"] = it
@@ -333,8 +340,7 @@ class _Core:
             pobj, dobj = cx / tau, by / tau
             gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             score = max(pres, dres, gap)
-            if trace is not None:
-                trace.append((it, mu, pres, dres, gap, tau, kappa))
+            trajectory.append((it, mu, pres, dres, gap, tau, kappa))
             if score < best_score:
                 best_score = score
                 best_parts = (pres, dres, gap)
@@ -533,58 +539,14 @@ class _Core:
 # public entry points
 # ---------------------------------------------------------------------------
 
-_DUMP_DIR: str | None = None
-_DUMP_COUNT = 0
-
-
-class dump_context:
-    """Debugging hook: while active, every solve dumps problem and result JSON.
-
-    Single-threaded use only (pairs with the CLI's --dump-sdp flag).
-    """
-
-    def __init__(self, directory: str):
-        self.directory = directory
-
-    def __enter__(self):
-        global _DUMP_DIR, _DUMP_COUNT
-        _DUMP_DIR, _DUMP_COUNT = self.directory, 0
-        return self
-
-    def __exit__(self, *exc):
-        global _DUMP_DIR
-        _DUMP_DIR = None
-        return False
-
-
-def _maybe_dump(problem: "SdpProblem", result: "SdpResult") -> None:
-    global _DUMP_COUNT
-    if _DUMP_DIR is None:
-        return
-    import json
-    import os
-
-    path = os.path.join(_DUMP_DIR, f"sdp_{_DUMP_COUNT:04d}.json")
-    _DUMP_COUNT += 1
-    with open(path, "w") as fh:
-        json.dump(
-            {"problem": problem_to_json(problem), "result": result_to_json(result)},
-            fh,
-        )
-
-
 def solve(problem: SdpProblem, max_iterations: int = MAX_ITERATIONS) -> SdpResult:
     """Solve an SDP; deterministic given identical inputs.
 
     Never silently returns a wrong answer: hitting the iteration cap or a
-    numerical breakdown is reported in the status.
+    numerical breakdown is reported in the status.  ``info`` holds the
+    iteration count, the (it, mu, pres, dres, gap, tau, kappa) trajectory
+    with one row per iteration entered, and the reason for any failure.
     """
-    result = _solve_impl(problem, max_iterations)
-    _maybe_dump(problem, result)
-    return result
-
-
-def _solve_impl(problem: SdpProblem, max_iterations: int) -> SdpResult:
     c = problem.objective or BlockMatrix.zeros(problem.block_dims)
     ops = problem.constraint_set
     core = _Core(c.blocks, ops, problem.b)
@@ -731,5 +693,5 @@ def result_to_json(r: SdpResult) -> dict:
             "y": r.certificate.y.tolist(),
             "s": block_matrix_to_json(r.certificate.s),
         },
-        "info": {k: v for k, v in r.info.items() if isinstance(v, (int, float, str))},
+        "info": {k: v for k, v in r.info.items() if isinstance(v, (int, float, str, list))},
     }

@@ -66,3 +66,23 @@ def test_criterion_6_reads_h0_by_magnitude():
     assert (far, h0) == ([], [])
     far, h0 = acceptance.ppt_violations(rows({(1.0, 0.0): -1e-3, (2.0, 2.0): 0.0}), lattice)
     assert (far, h0) == ([(2.0, 2.0)], [(1.0, 0.0)])
+
+
+def test_criterion_6_dps2_rows_against_ppt():
+    ppt = {
+        p: cli.SweepRow(p[0], p[1], 1.0, "ppt", v, "", "ok")
+        for p, v in {(1.0, 1.0): -0.1, (2.0, 2.0): 0.01, (3.0, 3.0): 1e-9}.items()
+    }
+
+    def dps2(p, verdict, status):
+        return cli.SweepRow(p[0], p[1], 1.0, "dps2", 0.0, verdict, status)
+
+    rows = [
+        dps2((1.0, 1.0), "quantum_memory", "infeasible"),
+        dps2((2.0, 2.0), "quantum_memory", "infeasible"),  # lambda > 1e-6 says inconclusive
+        dps2((3.0, 3.0), "inconclusive", "unverified:optimal"),
+    ]
+    disagree, unverified = acceptance.dps2_disagreements(ppt, rows)
+    assert disagree == [(2.0, 2.0, 0.01, "quantum_memory")]
+    assert unverified == [(3.0, 3.0)]
+    assert acceptance.dps2_disagreements(ppt, rows[:1]) == ([], [])

@@ -50,7 +50,7 @@ def assert_same_rows(actual, expected):
 
 
 def kernel_rows(J, hs, t, norm="trace", methods=BATCHED):
-    return cli._sweep_row((J, list(hs), t, methods, norm))
+    return cli._sweep_row((0, J, list(hs), t, methods, norm, None))
 
 
 @pytest.mark.parametrize("norm", ["trace", "frobenius"])

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from qmemwit import cli, detect, ising
+from qmemwit import cli, detect, ising, sdp
 from qmemwit import tensorlinalg as tl
 
 
@@ -388,9 +388,78 @@ class TestDumpSdp:
         assert code == 0
         files = sorted(dump.glob("sdp_*.json"))
         assert files
-        from qmemwit import sdp
-
+        assert [f.name for f in files] == ["sdp_0000_0000_ppt_sdp.json"]
         payload = json.loads(files[0].read_text())
         problem = sdp.problem_from_json(payload["problem"])
         assert problem.block_dims == (8,)
-        assert payload["result"]["status"] == "optimal"
+        result = payload["result"]
+        assert result["status"] == "optimal"
+        assert len(result["info"]["trajectory"]) == result["info"]["iterations"] + 1
+
+    def test_names_and_bytes_do_not_depend_on_workers(self, tmp_path):
+        dumps = {}
+        for workers in (1, 2):
+            dump = tmp_path / f"dumps{workers}"
+            code = cli.main(
+                [
+                    "sweep", "--j-range", "1:2:1", "--h-range", "1:2:1", "--method", "ppt_sdp",
+                    "--workers", str(workers), "--out", str(tmp_path / f"rows{workers}.csv"),
+                    "--dump-sdp", str(dump),
+                ]
+            )
+            assert code == 0
+            dumps[workers] = {f.name: f.read_bytes() for f in dump.iterdir()}
+        assert sorted(dumps[1]) == [
+            f"sdp_{i:04d}_{k:04d}_ppt_sdp.json" for i in range(2) for k in range(2)
+        ]
+        assert dumps[1] == dumps[2]
+        assert (tmp_path / "rows1.csv").read_bytes() == (tmp_path / "rows2.csv").read_bytes()
+
+    def test_witness_dump(self, tmp_path):
+        dump = tmp_path / "dumps"
+        code = cli.main(
+            ["witness", "--j", "1", "--h", "1", "--method", "dps2",
+             "--out", str(tmp_path / "w.json"), "--dump-sdp", str(dump)]
+        )
+        assert code == 0
+        assert [f.name for f in dump.iterdir()] == ["sdp_dps2.json"]
+        payload = json.loads((dump / "sdp_dps2.json").read_text())
+        assert payload["result"]["status"] == "infeasible"
+        problem = sdp.problem_from_json(payload["problem"])
+        assert problem.block_dims == (16, 16, 16)
+
+
+class TestUnverified:
+    @pytest.fixture
+    def failing_verify(self, monkeypatch):
+        def fail(problem, result):
+            return sdp.VerificationReport({"forced": (False, 1.0, 0.0)})
+
+        monkeypatch.setattr(sdp, "verify", fail)
+
+    def test_sweep_marks_unverified_rows_and_exits_3(self, tmp_path, failing_verify):
+        out = tmp_path / "rows.csv"
+        code = cli.main(
+            ["sweep", "--j-range", "1:1:1", "--h-range", "1:1:1",
+             "--method", "dps2", "--method", "ppt_sdp", "--out", str(out)]
+        )
+        assert code == cli.EXIT_SOLVER_FAILURE
+        rows = cli.rows_from_csv(out.read_text())
+        assert [(r.method, r.status) for r in rows] == [
+            ("dps2", "unverified:infeasible"), ("ppt_sdp", "unverified:optimal")
+        ]
+        assert all(r.verdict == detect.VERDICT_INCONCLUSIVE for r in rows)
+
+    def test_witness_export_is_a_solver_failure(self, tmp_path, failing_verify):
+        out = tmp_path / "w.json"
+        with pytest.raises(cli.SolverFailure, match="unverified:infeasible"):
+            cli.export_witness(1.0, 1.0, 1.0, "dps2", str(out))
+        code = cli.main(["witness", "--j", "1", "--h", "1", "--method", "dps2", "--out", str(out)])
+        assert code == cli.EXIT_SOLVER_FAILURE
+        assert not out.exists()
+
+    def test_verified_rows_keep_their_status(self):
+        config = cli.SweepConfig(
+            cli.Range(1.0, 1.0, 1), cli.Range(1.0, 1.0, 1), methods=("dps2", "ppt_sdp")
+        )
+        assert [r.status for r in cli.sweep(config)] == ["infeasible", "optimal"]

@@ -144,6 +144,20 @@ class TestDps2:
                 assert report.verdict == detect.VERDICT_QUANTUM
 
 
+class TestSdpRun:
+    def test_reports_carry_the_verified_solve(self, w111, w_pi0):
+        reports = [
+            detect.witness_sdp(w111),
+            detect.dps2_feasibility(w111),
+            detect.dps2_feasibility(w_pi0),
+        ]
+        assert [r.sdp_run[1].status for r in reports] == [sdp.OPTIMAL, sdp.INFEASIBLE, sdp.OPTIMAL]
+        for report in reports:
+            assert sdp.verify(*report.sdp_run).ok
+            assert report.sdp_run[1].info["iterations"] == report.diagnostics["iterations"]
+        assert detect.ppt_witness(w111).sdp_run is None
+
+
 class TestDps2Witness:
     def test_negative_on_target_state(self, w111):
         report = detect.dps2_feasibility(w111)

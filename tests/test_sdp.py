@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -306,16 +308,15 @@ class TestSerialization:
         assert data["status"] == sdp.OPTIMAL
         assert len(data["y"]) == 1
 
-    def test_dump_context(self, tmp_path):
+    def test_trajectory_has_a_row_per_iteration_entered(self):
         rng = np.random.default_rng(37)
-        p = min_eig_problem(herm(rng, 3))
-        with sdp.dump_context(str(tmp_path)):
-            sdp.solve(p)
-            sdp.solve(p)
-        files = sorted(tmp_path.glob("sdp_*.json"))
-        assert len(files) == 2
-        import json
-
-        payload = json.loads(files[0].read_text())
-        q = sdp.problem_from_json(payload["problem"])
-        assert q.block_dims == (3,)
+        problems = [min_eig_problem(herm(rng, 3)), bounded_functional_problem(SIGMA_Z)]
+        results = [sdp.solve(p) for p in problems] + [sdp.solve(problems[0], max_iterations=2)]
+        assert [r.status for r in results] == [sdp.OPTIMAL, sdp.INFEASIBLE, sdp.MAX_ITER]
+        for r in results:
+            trajectory = r.info["trajectory"]
+            assert len(trajectory) == r.info["iterations"] + 1
+            assert [row[0] for row in trajectory] == list(range(len(trajectory)))
+            assert all(len(row) == 7 for row in trajectory)
+        data = json.loads(json.dumps(sdp.result_to_json(results[0])))
+        assert data["info"]["trajectory"] == [list(row) for row in results[0].info["trajectory"]]
