@@ -10,7 +10,7 @@ import argparse
 import os
 import time
 
-from qmemwit import cli
+from qmemwit import cli, process
 
 
 def main():
@@ -19,7 +19,7 @@ def main():
     # the parser of ``qmemwit sweep --stride/--workers``: below 1 is a usage error
     parser.add_argument("--stride", type=cli._int_at_least(1), default=1)
     parser.add_argument("--workers", type=cli._int_at_least(1), default=os.cpu_count() or 1)
-    parser.add_argument("--norm", choices=("trace", "frobenius"), default="trace")
+    parser.add_argument("--norm", choices=process.NORMS, default="trace")
     args = parser.parse_args()
 
     os.makedirs(args.outdir, exist_ok=True)

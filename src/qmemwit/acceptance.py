@@ -70,6 +70,10 @@ def _lattice_distance(j: float, h: float, lattice) -> float:
     return min(d, abs(j))
 
 
+def _markovian(w: pr.ProcessMatrix) -> bool:
+    return pr.is_markovian(pr.markov_distance(w), tl.trace_norm(w.op))
+
+
 def _timed(index, name, budget, fn) -> CriterionResult:
     start = time.perf_counter()
     try:
@@ -98,12 +102,13 @@ def criterion_1() -> CriterionResult:
     ]
 
     def run():
-        worst_md, worst_eig = 0.0, 0.0
+        worst_md, worst_eig, markovian = 0.0, 0.0, True
         for j, h in pts:
             w = ising.process_matrix(j, h, 1.0)
             worst_md = max(worst_md, pr.markov_distance(w))
             worst_eig = min(worst_eig, detect.ppt_min_eig(w))
-        ok = worst_md <= 1e-9 and worst_eig >= -1e-9
+            markovian = markovian and _markovian(w)
+        ok = markovian and worst_eig >= -1e-9
         return ok, f"max markov_distance {worst_md:.2e}, min ppt eig {worst_eig:.2e} over {len(pts)} lattice points"
 
     return _timed(1, "Markovian lattice", 1.0, run)
@@ -258,13 +263,10 @@ def criterion_6(state: SuiteState, workers: int | None = None) -> CriterionResul
         ]
         lattice_bad = [p for p in on_lattice if abs(ppt[p].value) > PPT_MARGIN]
 
-        zeros = {p for p, r in dist.items() if r.value <= 1e-9}
+        zeros = {p for p, r in dist.items() if r.verdict == "markovian"}
         markovian_set = set(on_lattice) | {p for p in dist if abs(p[0]) <= 1e-12}
         zeros_mismatch = zeros.symmetric_difference(markovian_set)
-        direct_bad = [
-            p for p in lattice
-            if pr.markov_distance(ising.process_matrix(p[0], p[1], 1.0)) > 1e-9
-        ]
+        direct_bad = [p for p in lattice if not _markovian(ising.process_matrix(*p, 1.0))]
 
         if t_ppt > 120.0:
             return False, f"PPT sweep took {t_ppt:.1f}s (> 120s)"

@@ -28,9 +28,6 @@ from . import tensorlinalg as tl
 
 METHODS = ("ppt", "markov_distance")
 
-# the markov_distance verdict threshold
-MARKOV_TOL = 1e-9
-
 _XX = np.kron(tl.PAULI_X, tl.PAULI_X)
 _ZSUM = np.kron(tl.PAULI_Z, np.eye(2)) + np.kron(np.eye(2), tl.PAULI_Z)
 # |phi+><phi+| on (A_I, E_I) as x[i, a, j, b], the left operand of the link
@@ -89,10 +86,6 @@ def _comb_errors(w: np.ndarray, norm2: np.ndarray) -> list[str | None]:
     return errors
 
 
-def _spectral_norms(w: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(w, compute_uv=False).max(axis=-1)
-
-
 def process_matrices(J: float, hs, t: float) -> tuple[np.ndarray, list[str | None]]:
     """W(J, h, t) for every h, as ``ising.process_matrix`` builds it before
     its comb check.
@@ -127,14 +120,16 @@ def evaluate_row(J: float, hs, t: float, norm: str = "trace") -> dict[str, Colum
 
     ``ppt`` carries ``detect.ppt_witness``'s value and verdict, and
     ``markov_distance`` the value of ``process.markov_distance`` in ``norm``
-    with the verdict 'markovian' up to MARKOV_TOL.  A point whose process
+    with the verdict of ``process.is_markovian``.  A point whose process
     matrix fails gets the same error in both columns.
     """
-    if norm not in ("trace", "frobenius"):
+    if norm not in pr.NORMS:
         raise ValueError(f"unknown norm {norm!r}")
     w, errors = process_matrices(J, hs, t)
     built = [k for k, err in enumerate(errors) if err is None]
-    norm2 = _spectral_norms(w[built])
+    sv = np.linalg.svd(w[built], compute_uv=False)
+    norm2 = sv.max(axis=-1)
+    w_norms = sv.sum(axis=-1) if norm == "trace" else np.sqrt((sv**2).sum(axis=-1))
     for k, err in zip(built, _comb_errors(w[built], norm2)):
         errors[k] = err
     valid = [i for i, k in enumerate(built) if errors[k] is None]
@@ -143,7 +138,7 @@ def evaluate_row(J: float, hs, t: float, norm: str = "trace") -> dict[str, Colum
     ppt = Column(np.full(n, np.nan), ["error"] * n, list(errors))
     dist = Column(np.full(n, np.nan), ["error"] * n, list(errors))
     _ppt(w[points], norm2[valid], points, ppt)
-    _distance(w[points], norm, points, dist)
+    _distance(w[points], norm, w_norms[valid], points, dist)
     return {"ppt": ppt, "markov_distance": dist}
 
 
@@ -173,14 +168,17 @@ def _ppt(w: np.ndarray, norm2: np.ndarray, points: list[int], out: Column) -> No
         out.verdicts[points[i]] = detect.VERDICT_QUANTUM
 
 
-def _distance(w: np.ndarray, norm: str, points: list[int], out: Column) -> None:
-    """``process.markov_distance`` on the stack, with the marginal's comb check."""
+def _distance(
+    w: np.ndarray, norm: str, w_norms: np.ndarray, points: list[int], out: Column
+) -> None:
+    """``process.markov_distance`` on the stack, with the marginal's comb check;
+    ``w_norms`` holds each ||W|| in ``norm``, for the Markovian-zero rule."""
     rho = _partial_trace(w, "bc") / complex(2)
     channel = _partial_trace(w, "a")
     # np.kron's product: marginal[(i, k), (j, l)] = rho[i, j] channel[k, l]
     product = rho[:, :, None, :, None] * channel[:, None, :, None, :]
     marginal = _hermitized(product.reshape(-1, 8, 8))
-    errors = _comb_errors(marginal, _spectral_norms(marginal))
+    errors = _comb_errors(marginal, np.linalg.svd(marginal, compute_uv=False).max(axis=-1))
     diff = w - marginal
     if norm == "trace":
         values = np.linalg.svd(diff, compute_uv=False).sum(axis=-1)
@@ -192,4 +190,5 @@ def _distance(w: np.ndarray, norm: str, points: list[int], out: Column) -> None:
             out.errors[k] = errors[i]
             continue
         out.values[k] = values[i]
-        out.verdicts[k] = "markovian" if values[i] <= MARKOV_TOL else "non_markovian"
+        markovian = pr.is_markovian(values[i], w_norms[i])
+        out.verdicts[k] = "markovian" if markovian else "non_markovian"

@@ -112,8 +112,8 @@ class SweepConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-        if self.norm not in ("trace", "frobenius"):
-            raise ValueError("norm must be 'trace' or 'frobenius'")
+        if self.norm not in pr.NORMS:
+            raise ValueError(f"norm must be one of {pr.NORMS}")
         if self.stride < 1 or self.workers < 1:
             raise ValueError("stride and workers must be >= 1")
 
@@ -558,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     sw.add_argument("--t", type=_finite_float)
     sw.add_argument("--method", action="append", choices=METHODS)
     sw.add_argument("--workers", type=_int_at_least(1))
-    sw.add_argument("--norm", choices=("trace", "frobenius"))
+    sw.add_argument("--norm", choices=pr.NORMS)
     sw.add_argument("--stride", type=_int_at_least(1))
     sw.add_argument("--out")
     sw.add_argument("--config")

@@ -349,20 +349,15 @@ def _polish_certificate(
     Adding t * y_identity adds t I to S; the least eigenvalue of S is
     recomputed from the constraint stacks, independently of the solver.
     """
-    s_min = _adjoint_min_eig(problem, y)
+    s_min = min(
+        float(np.linalg.eigvalsh(-(a + a.conj().T) / 2)[0])
+        for a in problem.constraint_set.adjoint(y).blocks
+    )
     if s_min >= 0:
         return y
     y = y + (-s_min * 1.05 + 1e-13) * template.y_identity
     by = float(problem.b @ y)
     return y / by if by > 0 else y
-
-
-def _adjoint_min_eig(problem: sdp.SdpProblem, y: np.ndarray) -> float:
-    lam = np.inf
-    for stack in problem.constraint_set.stacks:
-        s_blk = -np.tensordot(y, stack, axes=(0, 0))
-        lam = min(lam, float(np.linalg.eigvalsh((s_blk + s_blk.conj().T) / 2)[0]))
-    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +398,8 @@ def validate_witness(
     Also spot-checks Tr(L(z) W) = Tr(z W): the projection of a witness onto
     the valid-process subspace is again a witness.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if not z.is_hermitian():
         raise ValueError("witness must be Hermitian")
     z = tl.reorder(z, PROCESS_LABELS)

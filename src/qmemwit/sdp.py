@@ -9,6 +9,11 @@ the same core.  The iteration runs directly on the complex Hermitian blocks,
 with inner products <A, B> = Re Tr(A^H B) (Todd, Toh and Tutuncu, SIAM J.
 Optim. 8 (1998), define the Nesterov-Todd direction on Hermitian matrices).
 
+The constraint data has one form: per block, the (m, n_b, n_b) stack of the
+operators A_k (``ConstraintSet``).  ``verify`` and ``ConstraintSet.adjoint``
+read the stacks directly, independently of the sparse matrices the solver
+derives from them and caches.
+
 The Schur complement M_kl = <A_k, W A_l W> of each iteration is a sparse
 congruence: for row-major vec and Hermitian W, vec(W A W) = (W kron W^T) vec(A),
 so block b adds Re(S_b (W_b kron W_b^T) S_b^H) to M, where the rows of the
@@ -19,8 +24,9 @@ sparsity).
 The module keeps no state between solves.  Each result explains itself in
 ``info``: the iteration count, the per-iteration trajectory of (iteration,
 mu, primal residual, dual residual, gap, tau, kappa) and the reason for any
-failure.  ``problem_to_json`` and ``result_to_json`` serialize one solve;
-the command line's ``--dump-sdp`` writes them per grid point.
+failure.  ``problem_to_json`` and ``result_to_json`` serialize one solve,
+each constraint stack as its nonzero entries; the command line's
+``--dump-sdp`` writes them per grid point.
 """
 
 from __future__ import annotations
@@ -93,8 +99,8 @@ class ConstraintSet:
     """Stacked constraint operators <A_k, X> for one block structure.
 
     The stacks (one (m, n_b, n_b) complex array per block) are shared between
-    problems that differ only in their right-hand sides, and so is the sparse
-    matrix the solver applies them with, computed once and cached.
+    problems that differ only in their right-hand sides, and so are the
+    sparse matrices the solver applies them with, computed once and cached.
     """
 
     def __init__(self, block_dims: Sequence[int], stacks: Sequence[np.ndarray]):
@@ -112,20 +118,11 @@ class ConstraintSet:
         self.stacks = tuple(stacks)
         self.m = m
 
-    @staticmethod
-    def from_pairs(
-        block_dims: Sequence[int], operators: Sequence[BlockMatrix]
-    ) -> "ConstraintSet":
-        stacks = [
-            np.stack([op.blocks[i] for op in operators])
-            if operators
-            else np.zeros((0, d, d), dtype=complex)
-            for i, d in enumerate(block_dims)
-        ]
-        return ConstraintSet(block_dims, stacks)
-
-    def operator(self, k: int) -> BlockMatrix:
-        return BlockMatrix([s[k] for s in self.stacks])
+    def adjoint(self, y: np.ndarray) -> BlockMatrix:
+        """A*(y) = sum_k y_k A_k, one tensordot of y with each stack."""
+        return BlockMatrix(
+            [np.tensordot(y, s, axes=(0, 0)) for s in self.stacks], require_hermitian=False
+        )
 
     @cached_property
     def _conj_csr(self) -> scipy.sparse.csr_matrix:
@@ -192,18 +189,12 @@ class SdpProblem:
         objective: BlockMatrix | None,
         constraints: Sequence[tuple[BlockMatrix, float]],
     ) -> "SdpProblem":
-        ops = [a for a, _ in constraints]
-        b = np.array([v for _, v in constraints], dtype=float)
-        return SdpProblem(
-            tuple(block_dims), objective, ConstraintSet.from_pairs(block_dims, ops), b
-        )
-
-    @property
-    def constraints(self) -> list[tuple[BlockMatrix, float]]:
-        return [
-            (self.constraint_set.operator(k), float(self.b[k]))
-            for k in range(self.constraint_set.m)
+        stacks = [
+            np.array([a.blocks[i] for a, _ in constraints] or np.zeros((0, d, d)), dtype=complex)
+            for i, d in enumerate(block_dims)
         ]
+        b = np.array([v for _, v in constraints], dtype=float)
+        return SdpProblem(tuple(block_dims), objective, ConstraintSet(block_dims, stacks), b)
 
 
 @dataclass
@@ -359,10 +350,6 @@ class _Core:
             if cert is not None and (tau <= TAU_KAPPA_RATIO * kappa or cert[2] >= 0.0):
                 info["certificate_min_eig"] = cert[2]
                 return (INFEASIBLE, cert[:2], info, best)
-            ray = self._try_unbounded(x, cx)
-            if ray is not None and tau <= TAU_KAPPA_RATIO * kappa:
-                info["reason"] = "dual infeasible (primal objective unbounded below)"
-                return (FAILURE, None, info, best)
             if tau <= TAU_KAPPA_RATIO * kappa:
                 info["reason"] = "tau collapsed without a verifiable certificate"
                 return (FAILURE, None, info, best)
@@ -526,14 +513,6 @@ class _Core:
             return (y_hat, s_hat, lam)
         return None
 
-    def _try_unbounded(self, x, cx):
-        if cx >= 0:
-            return None
-        x_hat = [blk / (-cx) for blk in x]
-        if np.linalg.norm(self.a_of(x_hat)) <= CERT_TOL:
-            return x_hat
-        return None
-
 
 # ---------------------------------------------------------------------------
 # public entry points
@@ -589,13 +568,6 @@ def verify(problem: SdpProblem, result: SdpResult) -> VerificationReport:
     c = problem.objective or BlockMatrix.zeros(problem.block_dims)
     ops = problem.constraint_set
 
-    def adjoint(y):
-        blocks = [np.zeros((d, d), dtype=complex) for d in problem.block_dims]
-        for i, stack in enumerate(ops.stacks):
-            if ops.m:
-                blocks[i] = np.tensordot(y, stack, axes=(0, 0))
-        return BlockMatrix(blocks, require_hermitian=False)
-
     if result.status == OPTIMAL:
         x = result.x
         # Re <A_k, X> = Re sum A_k * conj(X), without copying the stacks
@@ -609,7 +581,7 @@ def verify(problem: SdpProblem, result: SdpResult) -> VerificationReport:
         floor_x = -FEAS_TOL * (1.0 + x.norm())
         checks["primal_psd"] = (lam_x >= floor_x, lam_x, abs(floor_x))
         s_dual = BlockMatrix(
-            [cb - ab for cb, ab in zip(c.blocks, adjoint(result.y).blocks)],
+            [cb - ab for cb, ab in zip(c.blocks, ops.adjoint(result.y).blocks)],
             require_hermitian=False,
         )
         lam_s = s_dual.min_eig()
@@ -628,7 +600,7 @@ def verify(problem: SdpProblem, result: SdpResult) -> VerificationReport:
             checks["certificate_present"] = (False, 0.0, 0.0)
             return VerificationReport(checks)
         resid = BlockMatrix(
-            [ab + sb for ab, sb in zip(adjoint(cert.y).blocks, cert.s.blocks)],
+            [ab + sb for ab, sb in zip(ops.adjoint(cert.y).blocks, cert.s.blocks)],
             require_hermitian=False,
         )
         r = resid.max_abs()
@@ -645,7 +617,7 @@ def verify(problem: SdpProblem, result: SdpResult) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# serialization (mirrors the operator JSON schema with a top-level block list)
+# serialization (matrices as in the operator JSON schema, constraints as sparse entries)
 # ---------------------------------------------------------------------------
 
 
@@ -661,12 +633,20 @@ def block_matrix_from_json(data: list[dict]) -> BlockMatrix:
 
 
 def problem_to_json(p: SdpProblem) -> dict:
+    """The problem with each constraint stack as its nonzero entries, row-major."""
+    constraints = []
+    for stack in p.constraint_set.stacks:
+        k, i, j = np.nonzero(stack)
+        values = stack[k, i, j]
+        constraints.append({
+            "k": k.tolist(), "i": i.tolist(), "j": j.tolist(),
+            "re": values.real.tolist(), "im": values.imag.tolist(),
+        })
     return {
         "blocks": list(p.block_dims),
         "objective": None if p.objective is None else block_matrix_to_json(p.objective),
-        "constraints": [
-            {"a": block_matrix_to_json(a), "b": b} for a, b in p.constraints
-        ],
+        "b": p.b.tolist(),
+        "constraints": constraints,
     }
 
 
@@ -675,10 +655,15 @@ def problem_from_json(data: dict) -> SdpProblem:
     objective = (
         None if data["objective"] is None else block_matrix_from_json(data["objective"])
     )
-    constraints = [
-        (block_matrix_from_json(c["a"]), float(c["b"])) for c in data["constraints"]
-    ]
-    return SdpProblem.from_constraints(dims, objective, constraints)
+    b = np.array(data["b"], dtype=float)
+    stacks = []
+    for d, entries in zip(dims, data["constraints"]):
+        stack = np.zeros((len(b), d, d), dtype=complex)
+        index = (entries["k"], entries["i"], entries["j"])
+        stack.real[index] = entries["re"]
+        stack.imag[index] = entries["im"]
+        stacks.append(stack)
+    return SdpProblem(dims, objective, ConstraintSet(dims, stacks), b)
 
 
 def result_to_json(r: SdpResult) -> dict:

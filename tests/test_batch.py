@@ -35,7 +35,9 @@ def reference_rows(J, hs, t, methods=BATCHED, norm="trace"):
                 rows.append(cli.SweepRow(J, h, t, method, report.value, report.verdict, "ok"))
             else:
                 value = pr.markov_distance(w, norm=norm)
-                verdict = "markovian" if value <= 1e-9 else "non_markovian"
+                w_norm = tl.trace_norm(w.op) if norm == "trace" else tl.frobenius_norm(w.op)
+                markovian = pr.is_markovian(value, w_norm)
+                verdict = "markovian" if markovian else "non_markovian"
                 rows.append(cli.SweepRow(J, h, t, method, value, verdict, "ok"))
     return rows
 

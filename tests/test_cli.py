@@ -423,10 +423,23 @@ class TestDumpSdp:
         )
         assert code == 0
         assert [f.name for f in dump.iterdir()] == ["sdp_dps2.json"]
+        # the 672 constraints go in as their nonzero entries, not as dense blocks
+        assert (dump / "sdp_dps2.json").stat().st_size < 256 * 1024
         payload = json.loads((dump / "sdp_dps2.json").read_text())
         assert payload["result"]["status"] == "infeasible"
         problem = sdp.problem_from_json(payload["problem"])
         assert problem.block_dims == (16, 16, 16)
+
+    def test_dps2_dump_replays(self, tmp_path):
+        dump = tmp_path / "dumps"
+        code = cli.main(
+            ["sweep", "--j-range", "1:1:1", "--h-range", "1:1:1", "--method", "dps2",
+             "--out", str(tmp_path / "rows.csv"), "--dump-sdp", str(dump)]
+        )
+        assert code == 0
+        payload = json.loads((dump / "sdp_0000_0000_dps2.json").read_text())
+        replayed = sdp.solve(sdp.problem_from_json(payload["problem"]))
+        assert json.dumps(sdp.result_to_json(replayed)) == json.dumps(payload["result"])
 
 
 class TestUnverified:

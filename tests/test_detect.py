@@ -201,13 +201,17 @@ class TestDps2Template:
         result = sdp.solve(problem)
         assert result.status == sdp.INFEASIBLE and sdp.verify(problem, result).ok
         y = result.certificate.y
+
+        def s_min(y):
+            """The least eigenvalue of S = -A*(y), from the constraint stacks."""
+            blocks = problem.constraint_set.adjoint(y).blocks
+            return min(np.linalg.eigvalsh(-sdp._sym(a))[0] for a in blocks)
+
         # adding t * y_identity to y adds t I to S = -A*(y): push S below zero
-        shifted = y - (detect._adjoint_min_eig(problem, y) + 1e-3) * template.y_identity
-        assert detect._adjoint_min_eig(problem, shifted) < -9e-4
+        shifted = y - (s_min(y) + 1e-3) * template.y_identity
+        assert s_min(shifted) < -9e-4
         polished = detect._polish_certificate(template, problem, shifted)
-        for stack in problem.constraint_set.stacks:
-            s_blk = -np.tensordot(polished, stack, axes=(0, 0))
-            assert np.linalg.eigvalsh((s_blk + s_blk.conj().T) / 2)[0] >= 0
+        assert s_min(polished) >= 0
         assert abs(problem.b @ polished - 1.0) <= 1e-12
         witness, value = detect._certificate_witness(template, problem, w111, shifted)
         rho = w111.op.mat / np.trace(w111.op.mat).real
@@ -234,6 +238,12 @@ class TestValidateWitness:
         report = detect.validate_witness(z, 50, seed=3)
         assert report.min_value < 0
         assert report.failures
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_rejects_fewer_than_one_sample(self, n_samples):
+        z = tl.operator([(pr.A_I, 2), (pr.A_O, 2), (pr.B_I, 2)], np.eye(8) / 8)
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            detect.validate_witness(z, n_samples)
 
     def test_rejects_non_hermitian(self):
         z = tl.operator([(pr.A_I, 2), (pr.A_O, 2), (pr.B_I, 2)], np.triu(np.ones((8, 8))))

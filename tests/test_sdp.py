@@ -137,6 +137,17 @@ def random_pd(rng, d):
     return sdp._sym(g @ g.conj().T / d + np.eye(d))
 
 
+def random_problem(rng):
+    """An objective SDP on blocks (3, 4, 2) whose last block carries no data."""
+    dims, m = (3, 4, 2), 5
+    cons = [
+        (BlockMatrix([herm(rng, 3), herm(rng, 4), np.zeros((2, 2))]), float(rng.standard_normal()))
+        for _ in range(m)
+    ]
+    objective = BlockMatrix([herm(rng, d) for d in dims])
+    return SdpProblem.from_constraints(dims, objective, cons)
+
+
 class TestSchur:
     """_Core._schur against M_kl = Re Tr(A_k^H W A_l W) computed from the stacks."""
 
@@ -188,6 +199,32 @@ class TestSchur:
         ops = sdp.ConstraintSet(dims, stacks)
         assert [i for i, *_ in ops._block_csr] == [0]
         self.assert_matches(ops, 59)
+
+
+class TestAdjoint:
+    """ConstraintSet.adjoint, read from the stacks, against _Core.a_adj, the CSR path."""
+
+    @staticmethod
+    def assert_matches(ops, seed):
+        y = np.random.default_rng(seed).standard_normal(ops.m)
+        c = [np.zeros((d, d), dtype=complex) for d in ops.block_dims]
+        ref = sdp._Core(c, ops, np.zeros(ops.m)).a_adj(y)
+        got = ops.adjoint(y).blocks
+        scale = max(np.max(np.abs(r)) for r in ref)
+        assert scale > 0
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= 1e-12 * scale
+
+    def test_dps2_template(self):
+        from qmemwit import detect
+
+        self.assert_matches(detect._dps2_template((2, 2, 2)).constraint_set, 61)
+
+    def test_block_without_data(self):
+        ops = random_problem(np.random.default_rng(67)).constraint_set
+        assert not np.any(ops.stacks[2])
+        self.assert_matches(ops, 71)
+        assert not np.any(ops.adjoint(np.ones(ops.m)).blocks[2])
 
 
 class TestEigOracle:
@@ -288,17 +325,34 @@ class TestVerify:
 
 
 class TestSerialization:
+    @staticmethod
+    def roundtrip(p):
+        return sdp.problem_from_json(json.loads(json.dumps(sdp.problem_to_json(p))))
+
     def test_problem_roundtrip(self):
+        from qmemwit import detect, ising
+
         rng = np.random.default_rng(29)
+        w = ising.process_matrix(1.0, 1.0, 1.0)
+        problems = [
+            random_problem(rng),
+            detect.witness_sdp(w, swap_symmetric=True).sdp_run[0],
+            detect._dps2_template(w.dims).problem(w),
+        ]
+        for p in problems:
+            q = self.roundtrip(p)
+            assert q.block_dims == p.block_dims
+            assert np.array_equal(q.b, p.b)
+            assert (q.objective is None) == (p.objective is None)
+            if p.objective is not None:
+                for got, want in zip(q.objective.blocks, p.objective.blocks):
+                    assert np.array_equal(got, want)
+            assert len(q.constraint_set.stacks) == len(p.constraint_set.stacks)
+            for got, want in zip(q.constraint_set.stacks, p.constraint_set.stacks):
+                assert np.array_equal(got, want)
         p = min_eig_problem(herm(rng, 3))
-        q = sdp.problem_from_json(sdp.problem_to_json(p))
-        assert q.block_dims == p.block_dims
-        assert np.allclose(q.b, p.b)
-        assert np.allclose(
-            q.objective.blocks[0], p.objective.blocks[0]
-        )
-        r_p, r_q = sdp.solve(p), sdp.solve(q)
-        assert abs(r_p.objective_value - r_q.objective_value) <= 1e-12
+        r_p, r_q = sdp.solve(p), sdp.solve(self.roundtrip(p))
+        assert r_p.objective_value == r_q.objective_value
 
     def test_result_serializes(self):
         rng = np.random.default_rng(31)
