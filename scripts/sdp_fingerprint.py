@@ -19,11 +19,12 @@ another checkout's ``src`` fingerprints that checkout.
 
 The second form matches the entries of A and B by (method, J, h) and prints
 every entry whose verdict, status, verification or iteration count differs,
-the largest |value - value'| and |optimum - optimum'| per method, per file
-how many ``dps2`` certificates needed polishing (certificate_min_eig < 0;
-entries without the field, as in older files, are not counted), and a
-histogram of the iteration differences (B - A).  It exits with status 1 when
-an entry is missing or differs, or when a numeric difference exceeds --tol.
+the largest difference of value, optimum and certificate_min_eig per method
+(a field absent from both entries, as in older files, is skipped), per file
+how many ``dps2`` certificates needed polishing (certificate_min_eig < 0),
+and a histogram of the iteration differences (B - A).  It exits with status
+1 when an entry is missing or differs, or when a numeric difference exceeds
+--tol.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import sys
 import time
 
 DISCRETE = ("verdict", "solver_status", "verified", "iterations")
-NUMERIC = ("value", "optimum")
+NUMERIC = ("value", "optimum", "certificate_min_eig")
 H0_J = (0.5, 2.5, 4.5, 6.5, 8.5)
 
 
@@ -105,17 +106,18 @@ def compare(a: list[dict], b: list[dict], tol: float) -> bool:
         if ra["iterations"] is not None and rb["iterations"] is not None:
             iteration_diff[rb["iterations"] - ra["iterations"]] += 1
         for f in NUMERIC:
-            if ra[f] is None or rb[f] is None:
-                if (ra[f] is None) != (rb[f] is None):
+            va, vb = ra.get(f), rb.get(f)
+            if va is None or vb is None:
+                if (va is None) != (vb is None):
                     ok = False
-                    print(f"mismatch {k}: {f} {ra[f]!r} -> {rb[f]!r}")
+                    print(f"mismatch {k}: {f} {va!r} -> {vb!r}")
                 continue
-            worst[k[0]][f] = max(worst[k[0]][f], abs(ra[f] - rb[f]))
+            worst[k[0]][f] = max(worst[k[0]][f], abs(va - vb))
     for method in sorted(counts):
         w = worst[method]
         print(
-            f"{method}: {counts[method]} solves, max |d value| {w['value']:.2e}, "
-            f"max |d optimum| {w['optimum']:.2e}"
+            f"{method}: {counts[method]} solves, "
+            + ", ".join(f"max |d {f}| {w[f]:.2e}" for f in NUMERIC)
         )
         if max(w.values()) > tol:
             ok = False
@@ -140,7 +142,7 @@ def main(argv=None) -> int:
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two fingerprints")
     parser.add_argument(
         "--tol", type=float, default=1e-8,
-        help="largest accepted |value| or |optimum| difference (default 1e-8)",
+        help="largest accepted difference of a numeric field (default 1e-8)",
     )
     args = parser.parse_args(argv)
     if args.compare:

@@ -109,6 +109,8 @@ class SweepConfig:
             raise ValueError("t must be finite")
         if not self.methods:
             raise ValueError("at least one method required")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods {self.methods} repeat a method")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")

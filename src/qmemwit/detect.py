@@ -303,8 +303,10 @@ def dps2_feasibility(w: ProcessMatrix) -> WitnessReport:
     """Level-2 symmetric-extension test; infeasibility certifies quantum memory.
 
     Feasibility of the extension SDP is inconclusive (consistent with
-    classical memory); infeasibility yields a verdict together with the
-    witness mapped back from the verified Farkas certificate.
+    classical memory).  Infeasibility yields a verdict when the witness
+    mapped back from the verified Farkas certificate ``result.y`` is below
+    -tol_detect(w) on W, as for the other methods; otherwise, as on a solver
+    failure, the verdict is withheld with a ``reason`` in the diagnostics.
     """
     template = _dps2_template(w.dims)
     problem = template.problem(w)
@@ -313,11 +315,14 @@ def dps2_feasibility(w: ProcessMatrix) -> WitnessReport:
     if result.status == sdp.OPTIMAL and diagnostics["verified"]:
         return WitnessReport(METHOD_DPS2, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics, run)
     if result.status == sdp.INFEASIBLE and diagnostics["verified"]:
-        witness, value = _certificate_witness(template, problem, w, result.certificate.y)
+        witness, value = _certificate_witness(template, problem, w, result.y)
         diagnostics["certificate_min_eig"] = result.info.get("certificate_min_eig")
-        return WitnessReport(METHOD_DPS2, VERDICT_QUANTUM, value, witness, diagnostics, run)
-    # solver failure: verdict withheld
-    diagnostics["reason"] = result.info.get("reason", "unverified result")
+        tol = tol_detect(w)
+        if value < -tol:
+            return WitnessReport(METHOD_DPS2, VERDICT_QUANTUM, value, witness, diagnostics, run)
+        diagnostics["reason"] = f"certificate witness value {value:.3e} is not below {-tol:.1e}"
+    else:
+        diagnostics["reason"] = result.info.get("reason", "unverified result")
     return WitnessReport(METHOD_DPS2, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics, run)
 
 

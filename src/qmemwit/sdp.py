@@ -1,13 +1,16 @@
 """Dense semidefinite programming over Hermitian block-diagonal variables.
 
 Solves   minimize  <C, X>   subject to  <A_k, X> = b_k,  X >= 0 blockwise,
-with an objective or in pure feasibility mode (C = 0), and returns dual
-certificates.  The algorithm is a primal-dual path-following interior-point
-method on the homogeneous self-dual embedding, with Nesterov-Todd scaling
-and a Mehrotra predictor-corrector; infeasibility certificates fall out of
-the same core.  The iteration runs directly on the complex Hermitian blocks,
-with inner products <A, B> = Re Tr(A^H B) (Todd, Toh and Tutuncu, SIAM J.
-Optim. 8 (1998), define the Nesterov-Todd direction on Hermitian matrices).
+with an objective or in pure feasibility mode (C = 0).  An optimal result
+carries the primal X and the dual y; an infeasible one carries its Farkas
+certificate as y alone, with S = -A*(y) >= 0 and b.y = 1, which ``verify``
+checks by forming S from the constraint stacks.  The algorithm is a
+primal-dual path-following interior-point method on the homogeneous
+self-dual embedding, with Nesterov-Todd scaling and a Mehrotra
+predictor-corrector; infeasibility certificates fall out of the same core.
+The iteration runs directly on the complex Hermitian blocks, with inner
+products <A, B> = Re Tr(A^H B) (Todd, Toh and Tutuncu, SIAM J. Optim. 8
+(1998), define the Nesterov-Todd direction on Hermitian matrices).
 
 The constraint data has one form: per block, the (m, n_b, n_b) stack of the
 operators A_k (``ConstraintSet``).  ``verify`` and ``ConstraintSet.adjoint``
@@ -198,20 +201,15 @@ class SdpProblem:
 
 
 @dataclass
-class Certificate:
-    """Farkas certificate of primal infeasibility: sum_k y_k A_k + S = 0, S >= 0, b.y > 0."""
-
-    y: np.ndarray
-    s: BlockMatrix
-
-
-@dataclass
 class SdpResult:
+    """One solve.  ``optimal``: X, the dual y and <C, X>.  ``infeasible``: no X,
+    and y is the Farkas certificate, scaled to b.y = 1 with -A*(y) >= 0.  Any
+    other status: no X, and y is the best iterate's, for inspection only."""
+
     status: str
     x: BlockMatrix | None
     y: np.ndarray
     objective_value: float
-    certificate: Certificate | None = None
     info: dict = field(default_factory=dict)
 
 
@@ -270,6 +268,7 @@ class _Core:
         self.dims = dims = constraint_set.block_dims
         self.c = c_blocks
         self.asp = constraint_set._conj_csr    # (m, sum n^2), rows vec(conj A_k)
+        self.asp_t = self.asp.T                # taken once: each .T builds a new matrix
         self.block_csr = constraint_set._block_csr
         self.b = b
         self.m = len(b)
@@ -281,7 +280,7 @@ class _Core:
         return self.asp.dot(vec).real
 
     def a_adj(self, y: np.ndarray):
-        vec = self.asp.T.dot(y).conj()
+        vec = self.asp_t.dot(y).conj()
         parts = np.split(vec, self.splits)
         return [_sym(p.reshape(d, d)) for p, d in zip(parts, self.dims)]
 
@@ -298,7 +297,6 @@ class _Core:
         best = None
         best_score = np.inf
         best_parts = (np.inf, np.inf, np.inf)
-        history: list[float] = []
         status = MAX_ITER
         trajectory: list[tuple] = []
         info = {"iterations": 0, "trajectory": trajectory}
@@ -335,21 +333,19 @@ class _Core:
             if score < best_score:
                 best_score = score
                 best_parts = (pres, dres, gap)
-                best = ([xi / tau for xi in x], y / tau, [si / tau for si in s])
-            history.append(score)
+                best = ([xi / tau for xi in x], y / tau)
             if pres <= 0.1 * FEAS_TOL and dres <= 0.1 * FEAS_TOL and gap <= 0.1 * GAP_TOL:
                 status = OPTIMAL
                 break
-            if len(history) > 12 and best_score > 0.5 * history[-12]:
+            if len(trajectory) > 12 and best_score > 0.5 * max(trajectory[-12][2:5]):
                 # stalled; fall through to the incumbent-acceptance check below
                 info["reason"] = "progress stalled"
                 break
 
             # infeasibility certificates from the homogeneous iterate
-            cert = self._try_certificate(y, by)
-            if cert is not None and (tau <= TAU_KAPPA_RATIO * kappa or cert[2] >= 0.0):
-                info["certificate_min_eig"] = cert[2]
-                return (INFEASIBLE, cert[:2], info, best)
+            y_hat = self._try_certificate(y, by, tau, kappa, info)
+            if y_hat is not None:
+                return (INFEASIBLE, y_hat, info, best)
             if tau <= TAU_KAPPA_RATIO * kappa:
                 info["reason"] = "tau collapsed without a verifiable certificate"
                 return (FAILURE, None, info, best)
@@ -466,10 +462,9 @@ class _Core:
             status = OPTIMAL
         if status == OPTIMAL:
             return (OPTIMAL, None, info, best)
-        cert = self._try_certificate(y, float(b @ y))
-        if cert is not None and (tau <= TAU_KAPPA_RATIO * kappa or cert[2] >= 0.0):
-            info["certificate_min_eig"] = cert[2]
-            return (INFEASIBLE, cert[:2], info, best)
+        y_hat = self._try_certificate(y, float(b @ y), tau, kappa, info)
+        if y_hat is not None:
+            return (INFEASIBLE, y_hat, info, best)
         info.setdefault("reason", "iteration limit reached")
         return (MAX_ITER, None, info, best)
 
@@ -501,16 +496,18 @@ class _Core:
         # a non-finite rhs yields a non-finite direction, which solve() rejects
         return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
-    def _try_certificate(self, y, by):
-        """Farkas pair (y, -A*(y)) scaled to b.y = 1, or None."""
+    def _try_certificate(self, y, by, tau, kappa, info):
+        """y / b.y if S = -A*(y / b.y) passes CERT_TOL and, unless tau has
+        collapsed, is PSD; S's least eigenvalue goes into info.  Else None."""
         if by <= 0:
             return None
         y_hat = y / by
         s_hat = [-blk for blk in self.a_adj(y_hat)]
         lam = min(float(np.linalg.eigvalsh(blk)[0]) for blk in s_hat)
         norm = max(float(np.max(np.abs(blk))) for blk in s_hat)
-        if lam >= -CERT_TOL * (1.0 + norm):
-            return (y_hat, s_hat, lam)
+        if lam >= -CERT_TOL * (1.0 + norm) and (tau <= TAU_KAPPA_RATIO * kappa or lam >= 0.0):
+            info["certificate_min_eig"] = lam
+            return y_hat
         return None
 
 
@@ -529,17 +526,15 @@ def solve(problem: SdpProblem, max_iterations: int = MAX_ITERATIONS) -> SdpResul
     c = problem.objective or BlockMatrix.zeros(problem.block_dims)
     ops = problem.constraint_set
     core = _Core(c.blocks, ops, problem.b)
-    status, cert, info, best = core.solve(max_iterations=max_iterations)
+    status, y_hat, info, best = core.solve(max_iterations=max_iterations)
 
     if status == OPTIMAL and best is not None:
-        xb, yb, sb = best
+        xb, yb = best
         x = BlockMatrix(xb, require_hermitian=False)
         return SdpResult(OPTIMAL, x, yb, c.inner(x), info=info)
 
-    if status == INFEASIBLE and cert is not None:
-        y_hat, s_hat = cert
-        certificate = Certificate(y_hat, BlockMatrix(s_hat, require_hermitian=False))
-        return SdpResult(INFEASIBLE, None, y_hat, np.inf, certificate=certificate, info=info)
+    if status == INFEASIBLE:
+        return SdpResult(INFEASIBLE, None, y_hat, np.inf, info=info)
 
     y_last = best[1] if best is not None else np.zeros(ops.m)
     return SdpResult(status, None, y_last, np.nan, info=info)
@@ -595,21 +590,12 @@ def verify(problem: SdpProblem, result: SdpResult) -> VerificationReport:
         obj_err = abs(result.objective_value - pobj)
         checks["objective_match"] = (obj_err <= FEAS_TOL * (1 + abs(pobj)), obj_err, FEAS_TOL * (1 + abs(pobj)))
     elif result.status == INFEASIBLE:
-        cert = result.certificate
-        if cert is None:
-            checks["certificate_present"] = (False, 0.0, 0.0)
-            return VerificationReport(checks)
-        resid = BlockMatrix(
-            [ab + sb for ab, sb in zip(ops.adjoint(cert.y).blocks, cert.s.blocks)],
-            require_hermitian=False,
-        )
-        r = resid.max_abs()
-        scale = CERT_TOL * (1.0 + cert.s.max_abs())
-        checks["certificate_adjoint"] = (r <= scale, r, scale)
-        lam = cert.s.min_eig()
-        floor = -CERT_TOL * (1.0 + cert.s.max_abs())
+        # the Farkas conditions on y itself: S = -A*(y) >= 0 and b.y > 0
+        s_farkas = ops.adjoint(-result.y)
+        lam = s_farkas.min_eig()
+        floor = -CERT_TOL * (1.0 + s_farkas.max_abs())
         checks["certificate_psd"] = (lam >= floor, lam, abs(floor))
-        by = float(problem.b @ cert.y)
+        by = float(problem.b @ result.y)
         checks["certificate_improving"] = (by > 0, by, 0.0)
     else:
         checks["conclusive_status"] = (False, 0.0, 0.0)
@@ -672,11 +658,5 @@ def result_to_json(r: SdpResult) -> dict:
         "objective": None if not np.isfinite(r.objective_value) else r.objective_value,
         "x": None if r.x is None else block_matrix_to_json(r.x),
         "y": r.y.tolist(),
-        "certificate": None
-        if r.certificate is None
-        else {
-            "y": r.certificate.y.tolist(),
-            "s": block_matrix_to_json(r.certificate.s),
-        },
         "info": {k: v for k, v in r.info.items() if isinstance(v, (int, float, str, list))},
     }

@@ -15,11 +15,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Hermiticity is checked entrywise; eigen residuals relative to the spectral
-# norm.  Loose enough for d <= 32 in double precision, tight enough to
-# separate zero from nonzero regimes downstream.
+# Hermiticity is checked entrywise.  Loose enough for d <= 32 in double
+# precision, tight enough to separate zero from nonzero regimes downstream.
 HERM_TOL = 1e-10
-EIG_RESIDUAL_TOL = 1e-9
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -140,6 +140,16 @@ class TestSweep:
                 cli.main(argv + [x for kv in point.items() for x in kv])
             assert exc.value.code == 2
 
+    def test_repeated_method_is_a_usage_error(self, tmp_path, capsys):
+        # a repeated method was solved twice per point and written as two rows
+        out = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--j-range", "1:1:1", "--h-range", "1:1:1",
+                      "--method", "dps2", "--method", "dps2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "repeat" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_count_flags_below_one_are_usage_errors(self, tmp_path, capsys):
         out = str(tmp_path / "rows.csv")
         for argv in (
@@ -345,7 +355,9 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "line", ["workers = 0", "stride = two", "j_range = 0:1:0.3", "method = ppt, bogus"]
+        "line",
+        ["workers = 0", "stride = two", "j_range = 0:1:0.3", "method = ppt, bogus",
+         "method = dps2, dps2"],
     )
     def test_bad_value_is_a_usage_error(self, tmp_path, capsys, line):
         conf = tmp_path / "sweep.conf"
@@ -423,10 +435,12 @@ class TestDumpSdp:
         )
         assert code == 0
         assert [f.name for f in dump.iterdir()] == ["sdp_dps2.json"]
-        # the 672 constraints go in as their nonzero entries, not as dense blocks
-        assert (dump / "sdp_dps2.json").stat().st_size < 256 * 1024
+        # the 672 constraints go in as their nonzero entries, not as dense
+        # blocks, and the Farkas certificate only as the result's y
+        assert (dump / "sdp_dps2.json").stat().st_size <= 80_000
         payload = json.loads((dump / "sdp_dps2.json").read_text())
         assert payload["result"]["status"] == "infeasible"
+        assert "certificate" not in payload["result"]
         problem = sdp.problem_from_json(payload["problem"])
         assert problem.block_dims == (16, 16, 16)
 

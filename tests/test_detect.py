@@ -177,6 +177,16 @@ class TestDps2Witness:
         assert report.witness is None
         assert "certificate_min_eig" not in report.diagnostics
 
+    def test_nonnegative_witness_value_is_inconclusive(self, w111, monkeypatch):
+        # a polish that leaves b.y <= 0 maps to a witness with Tr(Z W) >= 0
+        monkeypatch.setattr(detect, "_polish_certificate", lambda template, problem, y: -y)
+        report = detect.dps2_feasibility(w111)
+        assert report.diagnostics["solver_status"] == sdp.INFEASIBLE
+        assert report.diagnostics["verified"]
+        assert report.verdict == detect.VERDICT_INCONCLUSIVE
+        assert report.witness is None
+        assert "is not below" in report.diagnostics["reason"]
+
 
 class TestDps2Template:
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 1, 2)])
@@ -200,7 +210,7 @@ class TestDps2Template:
         problem = template.problem(w111)
         result = sdp.solve(problem)
         assert result.status == sdp.INFEASIBLE and sdp.verify(problem, result).ok
-        y = result.certificate.y
+        y = result.y
 
         def s_min(y):
             """The least eigenvalue of S = -A*(y), from the constraint stacks."""

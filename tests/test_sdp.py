@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmemwit import sdp
-from qmemwit.sdp import BlockMatrix, Certificate, SdpProblem
+from qmemwit.sdp import BlockMatrix, SdpProblem
 
 
 def herm(rng, n):
@@ -69,8 +69,7 @@ class TestSolveExamples:
         p = bounded_functional_problem(sigma)
         r = sdp.solve(p)
         assert r.status == sdp.INFEASIBLE
-        assert r.certificate is not None
-        assert float(p.b @ r.certificate.y) > 0
+        assert abs(float(p.b @ r.y) - 1.0) <= 1e-12
         assert sdp.verify(p, r).ok
 
     def test_bell_partial_transpose_optimum(self):
@@ -310,9 +309,26 @@ class TestVerify:
     def test_tampered_certificate_fails(self, sigma):
         p = bounded_functional_problem(sigma)
         r = sdp.solve(p)
-        bad = Certificate(r.certificate.y * -1.0, r.certificate.s)
-        rep = sdp.verify(p, sdp.SdpResult(sdp.INFEASIBLE, None, bad.y, np.inf, certificate=bad))
+        rep = sdp.verify(p, sdp.SdpResult(sdp.INFEASIBLE, None, -r.y, np.inf))
         assert not rep.ok
+
+    def test_certificate_with_indefinite_s_fails_psd_alone(self):
+        # Tr(sigma_x X) = 0 adds a row with b_k = 0: moving y along it keeps
+        # b.y = 1 but subtracts a multiple of sigma_x from S = -A*(y)
+        sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+        p = SdpProblem.from_constraints(
+            (2,), None,
+            [(eye_bm(2), 1.0), (BlockMatrix([SIGMA_Z]), 3.0), (BlockMatrix([sigma_x]), 0.0)],
+        )
+        r = sdp.solve(p)
+        assert r.status == sdp.INFEASIBLE and sdp.verify(p, r).ok
+        y = r.y + np.array([0.0, 0.0, 10.0])
+        rep = sdp.verify(p, sdp.SdpResult(sdp.INFEASIBLE, None, y, np.inf))
+        assert abs(float(p.b @ y) - 1.0) <= 1e-12
+        assert {name: passed for name, (passed, _, _) in rep.checks.items()} == {
+            "certificate_psd": False,
+            "certificate_improving": True,
+        }
 
     def test_weak_duality_holds(self):
         rng = np.random.default_rng(23)
