@@ -11,16 +11,19 @@ The first form records one entry per solve:
   ``acceptance_points(60, seed=3)`` and at five h = 0 points (130 solves).
 
 Each entry holds J, h, method, verdict, solver status, verification outcome,
-iteration count, the reported value, for ``witness_sdp`` the SDP optimum and,
-for an infeasible ``dps2`` solve, ``certificate_min_eig``: the least
+iteration count, ``trajectory_sha1`` (the SHA-1 of the float64 bytes of the
+solver's trajectory rows and of its y, so equal digests mean the same
+iteration path), the reported value, for ``witness_sdp`` the SDP optimum
+and, for an infeasible ``dps2`` solve, ``certificate_min_eig``: the least
 eigenvalue of the Farkas certificate's S = -A*(y), as the solver reports it.
 ``qmemwit`` is imported from the environment, so pointing PYTHONPATH at
 another checkout's ``src`` fingerprints that checkout.
 
 The second form matches the entries of A and B by (method, J, h) and prints
-every entry whose verdict, status, verification or iteration count differs,
-the largest difference of value, optimum and certificate_min_eig per method
-(a field absent from both entries, as in older files, is skipped), per file
+every entry whose verdict, status, verification, iteration count or
+trajectory_sha1 differs, the largest difference of value, optimum and
+certificate_min_eig per method (a field absent from both entries, as in
+older files, is skipped), per file
 how many ``dps2`` certificates needed polishing (certificate_min_eig < 0),
 and a histogram of the iteration differences (B - A).  It exits with status
 1 when an entry is missing or differs, or when a numeric difference exceeds
@@ -31,13 +34,22 @@ from __future__ import annotations
 
 import argparse
 import collections
+import hashlib
 import json
 import sys
 import time
 
-DISCRETE = ("verdict", "solver_status", "verified", "iterations")
+DISCRETE = ("verdict", "solver_status", "verified", "iterations", "trajectory_sha1")
 NUMERIC = ("value", "optimum", "certificate_min_eig")
 H0_J = (0.5, 2.5, 4.5, 6.5, 8.5)
+
+
+def _trajectory_sha1(result) -> str:
+    import numpy as np
+
+    digest = hashlib.sha1(np.asarray(result.info["trajectory"], dtype=np.float64).tobytes())
+    digest.update(np.asarray(result.y, dtype=np.float64).tobytes())
+    return digest.hexdigest()
 
 
 def _record(j: float, h: float, method: str, report) -> dict:
@@ -50,6 +62,7 @@ def _record(j: float, h: float, method: str, report) -> dict:
         "solver_status": diag.get("solver_status"),
         "verified": bool(diag.get("verified")),
         "iterations": diag.get("iterations"),
+        "trajectory_sha1": _trajectory_sha1(report.sdp_run[1]),
         "value": report.value,
         "optimum": diag.get("optimum"),
         "certificate_min_eig": diag.get("certificate_min_eig"),
@@ -99,10 +112,10 @@ def compare(a: list[dict], b: list[dict], tol: float) -> bool:
     for k in sorted(by_a.keys() & by_b.keys()):
         ra, rb = by_a[k], by_b[k]
         counts[k[0]] += 1
-        diff = [f for f in DISCRETE if ra[f] != rb[f]]
+        diff = [f for f in DISCRETE if ra.get(f) != rb.get(f)]
         if diff:
             ok = False
-            print(f"mismatch {k}: " + ", ".join(f"{f} {ra[f]!r} -> {rb[f]!r}" for f in diff))
+            print(f"mismatch {k}: " + ", ".join(f"{f} {ra.get(f)!r} -> {rb.get(f)!r}" for f in diff))
         if ra["iterations"] is not None and rb["iterations"] is not None:
             iteration_diff[rb["iterations"] - ra["iterations"]] += 1
         for f in NUMERIC:

@@ -24,12 +24,16 @@ sparse S_b are vec(conj A_k) for the constraints with data in block b
 (Fujisawa, Kojima and Nakata, Math. Program. 79 (1997), exploit the same
 sparsity).
 
-The module keeps no state between solves.  Each result explains itself in
-``info``: the iteration count, the per-iteration trajectory of (iteration,
-mu, primal residual, dual residual, gap, tau, kappa) and the reason for any
-failure.  ``problem_to_json`` and ``result_to_json`` serialize one solve,
-each constraint stack as its nonzero entries; the command line's
-``--dump-sdp`` writes them per grid point.
+The module keeps no state between solves but one factor per
+``ConstraintSet``: every solve starts at X = S = I, where the Nesterov-Todd
+scaling is W = I and M is the Gram matrix Re(A A^H) of the constraints, so
+the Cholesky factor of that M is computed once and shared by every problem
+built on the set.  Each result explains itself in ``info``: the iteration
+count, the per-iteration trajectory of (iteration, mu, primal residual,
+dual residual, gap, tau, kappa) and the reason for any failure.
+``problem_to_json`` and ``result_to_json`` serialize one solve, each
+constraint stack as its nonzero entries; the command line's ``--dump-sdp``
+writes them per grid point.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-HERM_TOL = 1e-10
+HERM_TOL = 1e-10         # Hermiticity defect, relative to max(1, max|entry|) of the data
 FEAS_TOL = 1e-8          # primal/dual residuals of an optimal result
 GAP_TOL = 1e-7           # relative duality gap of an optimal result
 CERT_TOL = 1e-8          # quality of an infeasibility certificate
@@ -56,6 +60,10 @@ MAX_ITER = "max_iterations"
 FAILURE = "numerical_failure"
 
 
+def _herm_bound(a: np.ndarray) -> float:
+    return HERM_TOL * max(1.0, float(np.max(np.abs(a))))
+
+
 class BlockMatrix:
     """Hermitian block-diagonal matrix stored as a tuple of dense blocks."""
 
@@ -66,7 +74,7 @@ class BlockMatrix:
         for b in blocks:
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise ValueError(f"block of shape {b.shape} is not square")
-            if require_hermitian and np.max(np.abs(b - b.conj().T)) > HERM_TOL:
+            if require_hermitian and np.max(np.abs(b - b.conj().T)) > _herm_bound(b):
                 raise ValueError("block is not Hermitian within tolerance")
             b.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
@@ -103,7 +111,9 @@ class ConstraintSet:
 
     The stacks (one (m, n_b, n_b) complex array per block) are shared between
     problems that differ only in their right-hand sides, and so are the
-    sparse matrices the solver applies them with, computed once and cached.
+    sparse matrices the solver applies them with and the Cholesky factor of
+    the Schur complement at the solver's starting point, each computed once
+    and cached.
     """
 
     def __init__(self, block_dims: Sequence[int], stacks: Sequence[np.ndarray]):
@@ -115,8 +125,7 @@ class ConstraintSet:
         for s, d in zip(stacks, self.block_dims):
             if s.shape != (m, d, d):
                 raise ValueError(f"stack shape {s.shape} incompatible with block dim {d}")
-            herm_defect = np.max(np.abs(s - s.conj().transpose(0, 2, 1))) if m else 0.0
-            if herm_defect > HERM_TOL:
+            if m and np.max(np.abs(s - s.conj().transpose(0, 2, 1))) > _herm_bound(s):
                 raise ValueError("constraint operator is not Hermitian within tolerance")
         self.stacks = tuple(stacks)
         self.m = m
@@ -157,6 +166,32 @@ class ConstraintSet:
             s_b = scipy.sparse.csr_matrix(flat[rows].conj())
             out.append((i, index, s_b, s_b.conj()))
         return tuple(out)
+
+    def _schur(self, ws) -> np.ndarray:
+        """M_kl = <A_k, W A_l W> for the per-block scalings ws, summed over
+        blocks as Re(S_b (W kron W^T) S_b^H)."""
+        big_m = np.zeros((self.m, self.m))
+        for i, index, s_b, s_b_conj in self._block_csr:
+            w = ws[i]
+            # kron of a C-ordered W^T; of the transposed view it is five times slower
+            u = s_b.dot(np.kron(w, w.T.copy()))
+            # conj(S_b) u^T is the transpose of the block's Hermitian term, whose
+            # real part is symmetric
+            big_m[index] += s_b_conj.dot(u.T).real
+        return big_m
+
+    @cached_property
+    def _start_factor(self):
+        """``_factor`` of the Schur complement at W = I, read-only; None if it fails.
+
+        Every solve starts at x = s = I, where the Nesterov-Todd scaling is
+        W = I exactly, so iteration 0 of every problem on this set factors
+        this same matrix.
+        """
+        factor = _factor(self._schur([np.eye(d, dtype=complex) for d in self.block_dims]))
+        if factor is not None:
+            factor[0].setflags(write=False)
+        return factor
 
 
 @dataclass
@@ -255,6 +290,20 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     return -1.0 / lam
 
 
+def _factor(big_m):
+    """cho_factor of the Schur complement, retried with growing diagonal
+    shifts; None when every attempt fails."""
+    m = big_m.shape[0]
+    scale = max(np.trace(big_m) / max(m, 1), 1e-30)
+    shifted = big_m
+    for attempt in range(4):
+        try:
+            return scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            shifted = big_m + scale * 10.0 ** (-14 + 4 * attempt) * np.eye(m)
+    return None
+
+
 def _finite(direction) -> bool:
     d_x, d_y, d_s, d_tau, d_kappa = direction
     parts = [d_y, np.array([d_tau, d_kappa]), *d_x, *d_s]
@@ -267,9 +316,9 @@ class _Core:
     def __init__(self, c_blocks, constraint_set, b):
         self.dims = dims = constraint_set.block_dims
         self.c = c_blocks
+        self.ops = constraint_set
         self.asp = constraint_set._conj_csr    # (m, sum n^2), rows vec(conj A_k)
         self.asp_t = self.asp.T                # taken once: each .T builds a new matrix
-        self.block_csr = constraint_set._block_csr
         self.b = b
         self.m = len(b)
         self.n_total = sum(dims)
@@ -368,8 +417,11 @@ class _Core:
             h_cc = sum(_dot(c[i], wcw[i]) for i in range(len(dims)))
             wrdw = [_sym(scal[i][0] @ r_d[i] @ scal[i][0]) for i in range(len(dims))]
             a_wrdw = self.a_of(wrdw)
-            big_m = self._schur(scal)
-            factor = self._factor(big_m)
+            if it == 0:
+                # x = s = I, so W = I: the set's cached start factor
+                factor = self.ops._start_factor
+            else:
+                factor = _factor(self.ops._schur([sc[0] for sc in scal]))
             if factor is None:
                 info["reason"] = "Schur complement factorization failed"
                 return (FAILURE, None, info, best)
@@ -467,28 +519,6 @@ class _Core:
             return (INFEASIBLE, y_hat, info, best)
         info.setdefault("reason", "iteration limit reached")
         return (MAX_ITER, None, info, best)
-
-    def _schur(self, scal) -> np.ndarray:
-        """M_kl = <A_k, W A_l W>, summed over blocks as Re(S_b (W kron W^T) S_b^H)."""
-        big_m = np.zeros((self.m, self.m))
-        for i, index, s_b, s_b_conj in self.block_csr:
-            w = scal[i][0]
-            # kron of a C-ordered W^T; of the transposed view it is five times slower
-            u = s_b.dot(np.kron(w, w.T.copy()))
-            # conj(S_b) u^T is the transpose of the block's Hermitian term, whose
-            # real part is symmetric
-            big_m[index] += s_b_conj.dot(u.T).real
-        return big_m
-
-    def _factor(self, big_m):
-        scale = max(np.trace(big_m) / max(self.m, 1), 1e-30)
-        shifted = big_m
-        for attempt in range(4):
-            try:
-                return scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                shifted = big_m + scale * 10.0 ** (-14 + 4 * attempt) * np.eye(self.m)
-        return None
 
     def _solve_factored(self, factor, rhs):
         if self.m == 0:

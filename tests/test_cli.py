@@ -408,13 +408,16 @@ class TestDumpSdp:
         assert result["status"] == "optimal"
         assert len(result["info"]["trajectory"]) == result["info"]["iterations"] + 1
 
-    def test_names_and_bytes_do_not_depend_on_workers(self, tmp_path):
+    @pytest.mark.parametrize("method", ["ppt_sdp", "dps2"])
+    def test_names_and_bytes_do_not_depend_on_workers(self, tmp_path, method):
+        # dps2 points share one constraint set, and with it the start factor
+        # each worker process caches
         dumps = {}
         for workers in (1, 2):
             dump = tmp_path / f"dumps{workers}"
             code = cli.main(
                 [
-                    "sweep", "--j-range", "1:2:1", "--h-range", "1:2:1", "--method", "ppt_sdp",
+                    "sweep", "--j-range", "1:2:1", "--h-range", "1:2:1", "--method", method,
                     "--workers", str(workers), "--out", str(tmp_path / f"rows{workers}.csv"),
                     "--dump-sdp", str(dump),
                 ]
@@ -422,7 +425,7 @@ class TestDumpSdp:
             assert code == 0
             dumps[workers] = {f.name: f.read_bytes() for f in dump.iterdir()}
         assert sorted(dumps[1]) == [
-            f"sdp_{i:04d}_{k:04d}_ppt_sdp.json" for i in range(2) for k in range(2)
+            f"sdp_{i:04d}_{k:04d}_{method}.json" for i in range(2) for k in range(2)
         ]
         assert dumps[1] == dumps[2]
         assert (tmp_path / "rows1.csv").read_bytes() == (tmp_path / "rows2.csv").read_bytes()

@@ -45,6 +45,31 @@ class TestProblemValidation:
                 (2,), None, [(BlockMatrix([bad], require_hermitian=False), 0.0)]
             )
 
+    def test_hermitian_check_is_relative(self):
+        from qmemwit import detect, ising
+        from qmemwit import tensorlinalg as tl
+
+        rng = np.random.default_rng(83)
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        big = 1e5 * g @ herm(rng, 8) @ g.conj().T
+        scale = np.max(np.abs(big))
+        defect = np.max(np.abs(big - big.conj().T))
+        # rounding leaves a defect above the absolute bound but far below the relative one
+        assert sdp.HERM_TOL < defect <= 1e-14 * scale
+        BlockMatrix([big])
+        sdp.ConstraintSet((8,), [big[None]])
+        w = ising.process_matrix(1.0, 1.0, 1.0)
+        a_op = tl.TensorOperator(w.op.space, big)
+        report = detect.witness_sdp(w, constraints=[(a_op, np.trace(big).real / 8)])
+        assert report.diagnostics["solver_status"] is not None
+
+        bad = big.copy()
+        bad[0, 1] += 1e-3 * scale
+        with pytest.raises(ValueError):
+            BlockMatrix([bad])
+        with pytest.raises(ValueError):
+            sdp.ConstraintSet((8,), [bad[None]])
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             SdpProblem.from_constraints((3,), None, [(eye_bm(2), 1.0)])
@@ -148,13 +173,7 @@ def random_problem(rng):
 
 
 class TestSchur:
-    """_Core._schur against M_kl = Re Tr(A_k^H W A_l W) computed from the stacks."""
-
-    @staticmethod
-    def schur(ops, ws):
-        c = [np.zeros((d, d), dtype=complex) for d in ops.block_dims]
-        core = sdp._Core(c, ops, np.zeros(ops.m))
-        return core._schur([(w,) for w in ws])
+    """ConstraintSet._schur against M_kl = Re Tr(A_k^H W A_l W) computed from the stacks."""
 
     @staticmethod
     def reference(ops, ws):
@@ -167,7 +186,7 @@ class TestSchur:
     def assert_matches(self, ops, seed):
         rng = np.random.default_rng(seed)
         ws = [random_pd(rng, d) for d in ops.block_dims]
-        got, ref = self.schur(ops, ws), self.reference(ops, ws)
+        got, ref = ops._schur(ws), self.reference(ops, ws)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_dps2_template(self):
@@ -198,6 +217,113 @@ class TestSchur:
         ops = sdp.ConstraintSet(dims, stacks)
         assert [i for i, *_ in ops._block_csr] == [0]
         self.assert_matches(ops, 59)
+
+
+def identity_blocks(ops):
+    return [np.eye(d, dtype=complex) for d in ops.block_dims]
+
+
+def assert_same_solve(r, ref):
+    assert r.status == ref.status
+    assert r.y.tobytes() == ref.y.tobytes()
+    assert (r.x is None) == (ref.x is None)
+    if r.x is not None:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(r.x.blocks, ref.x.blocks))
+    assert np.array(r.info["trajectory"]).tobytes() == np.array(ref.info["trajectory"]).tobytes()
+    assert r.info == ref.info
+
+
+def fresh(problem):
+    """The problem on a new ConstraintSet with the same stacks, so nothing is cached."""
+    ops = problem.constraint_set
+    return SdpProblem(
+        problem.block_dims, problem.objective,
+        sdp.ConstraintSet(ops.block_dims, ops.stacks), problem.b,
+    )
+
+
+class TestStartFactor:
+    """The Schur factor at W = I, cached per ConstraintSet for every solve's iteration 0."""
+
+    def test_is_the_factor_of_the_identity_assembly(self):
+        from qmemwit import detect
+
+        for ops in (
+            detect._dps2_template((2, 2, 2)).constraint_set,
+            random_problem(np.random.default_rng(73)).constraint_set,
+        ):
+            factor = ops._start_factor
+            ref = sdp._factor(ops._schur(identity_blocks(ops)))
+            assert factor[1] == ref[1]
+            assert factor[0].tobytes() == ref[0].tobytes()
+            assert not factor[0].flags.writeable
+            assert ops._start_factor is factor
+            gram = TestSchur.reference(ops, identity_blocks(ops))
+            lower = np.tril(factor[0])
+            assert np.max(np.abs(lower @ lower.T - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+    def test_assembled_once_fewer_than_iterations(self, monkeypatch):
+        from qmemwit import detect, ising
+
+        calls = []
+        schur = sdp.ConstraintSet._schur
+
+        def counted(self, ws):
+            calls.append(1)
+            return schur(self, ws)
+
+        monkeypatch.setattr(sdp.ConstraintSet, "_schur", counted)
+        template = detect._Dps2Template((2, 2, 2))
+        problems = [
+            min_eig_problem(herm(np.random.default_rng(79), 4)),
+            template.problem(ising.process_matrix(1.3, 0.7, 1.0)),
+            template.problem(ising.process_matrix(1.3, 0.0, 1.0)),
+        ]
+        sdp.solve(problems[0])
+        sdp.solve(problems[1])
+        for problem in problems:
+            calls.clear()
+            r = sdp.solve(problem)
+            assert r.status in (sdp.OPTIMAL, sdp.INFEASIBLE)
+            assert r.info["iterations"] >= 2
+            assert len(calls) == r.info["iterations"] - 1
+
+    def test_singular_gram_caches_the_shifted_factor(self):
+        import scipy.linalg
+
+        # Tr(P X) = 1/2 twice, with P = diag(1, 0): M = [[1, 1], [1, 1]] is singular
+        p = BlockMatrix([np.diag([1.0, 0.0]).astype(complex)])
+        c = BlockMatrix([np.diag([1.0, 2.0]).astype(complex)])
+        problems = [
+            SdpProblem.from_constraints((2,), c, [(p, b), (p, b), (eye_bm(2), 1.0)])
+            for b in (0.5, 0.25)
+        ]
+        ops = problems[0].constraint_set
+        problems[1].constraint_set = ops
+        gram = ops._schur(identity_blocks(ops))
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        factor = ops._start_factor
+        assert factor is not None
+        assert factor[0].tobytes() == sdp._factor(gram)[0].tobytes()
+        for problem in problems + problems:
+            r = sdp.solve(problem)
+            assert r.status == sdp.OPTIMAL
+            assert_same_solve(r, sdp.solve(fresh(problem)))
+        assert ops._start_factor is factor
+
+    def test_alternating_right_hand_sides_match_fresh_sets(self):
+        from qmemwit import detect, ising
+
+        template = detect._Dps2Template((2, 2, 2))
+        problems = [
+            template.problem(ising.process_matrix(j, h, 1.0))
+            for j, h in ((1.3, 0.7), (1.3, 0.0))
+        ]
+        refs = [sdp.solve(fresh(p)) for p in problems]
+        assert {r.status for r in refs} == {sdp.OPTIMAL, sdp.INFEASIBLE}
+        for k in (0, 1, 0, 1):
+            assert_same_solve(sdp.solve(problems[k]), refs[k])
 
 
 class TestAdjoint:
