@@ -395,6 +395,13 @@ def render_heatmap(rows: list[SweepRow], column: str, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 _PAULIS = {"I": tl.PAULI_I, "X": tl.PAULI_X, "Y": tl.PAULI_Y, "Z": tl.PAULI_Z}
+# the 64 three-qubit Pauli products, in pauli_decomposition's order
+_PAULI_PRODUCTS = tuple(
+    (na + nb + nc, np.kron(np.kron(a, b), c))
+    for na, a in _PAULIS.items()
+    for nb, b in _PAULIS.items()
+    for nc, c in _PAULIS.items()
+)
 
 
 class InconclusivePoint(Exception):
@@ -408,14 +415,10 @@ class SolverFailure(Exception):
 def pauli_decomposition(z: tl.TensorOperator) -> list[dict]:
     """Coefficients of a three-qubit Hermitian operator over Pauli products."""
     z = tl.reorder(z, pr.PROCESS_LABELS)
-    out = []
-    for na, a in _PAULIS.items():
-        for nb, b in _PAULIS.items():
-            for nc, c in _PAULIS.items():
-                p = np.kron(np.kron(a, b), c)
-                coeff = float(np.trace(p @ z.mat).real) / 8.0
-                out.append({"pauli": na + nb + nc, "coefficient": coeff})
-    return out
+    return [
+        {"pauli": name, "coefficient": float(np.trace(p @ z.mat).real) / 8.0}
+        for name, p in _PAULI_PRODUCTS
+    ]
 
 
 def witness_report_at(J: float, h: float, t: float, method: str) -> detect.WitnessReport:

@@ -22,10 +22,16 @@ congruence: for row-major vec and Hermitian W, vec(W A W) = (W kron W^T) vec(A),
 so block b adds Re(S_b (W_b kron W_b^T) S_b^H) to M, where the rows of the
 sparse S_b are vec(conj A_k) for the constraints with data in block b
 (Fujisawa, Kojima and Nakata, Math. Program. 79 (1997), exploit the same
-sparsity).
+sparsity).  The first product u = S_b (W_b kron W_b^T) is complex; the second
+is real, R_b [Re u^T; Im u^T] with R_b = [Re A | -Im A] on the same rows,
+since only the real part of conj(S_b) u^T enters M.  M, W kron W^T and
+[Re u^T; Im u^T] live in a workspace that each ``ConstraintSet`` allocates
+once; only the two products' results are allocated per block.  The M that
+``ConstraintSet._schur`` returns is that workspace, valid until the set's
+next assembly.
 
-The module keeps no state between solves but one factor per
-``ConstraintSet``: every solve starts at X = S = I, where the Nesterov-Todd
+The module keeps no state between solves but that workspace and one factor
+per ``ConstraintSet``: every solve starts at X = S = I, where the Nesterov-Todd
 scaling is W = I and M is the Gram matrix Re(A A^H) of the constraints, so
 the Cholesky factor of that M is computed once and shared by every problem
 built on the set.  Each result explains itself in ``info``: the iteration
@@ -113,7 +119,11 @@ class ConstraintSet:
     problems that differ only in their right-hand sides, and so are the
     sparse matrices the solver applies them with and the Cholesky factor of
     the Schur complement at the solver's starting point, each computed once
-    and cached.
+    and cached.  So is the Schur workspace: the (m, m) M, one W kron W^T per
+    block side and one real buffer for the second product.  ``_schur``
+    returns M itself, overwritten by the next ``_schur`` on the set; its
+    consumer ``_factor`` copies it.  A set is used by one thread at a time,
+    and the sweep's worker processes each hold their own.
     """
 
     def __init__(self, block_dims: Sequence[int], stacks: Sequence[np.ndarray]):
@@ -146,11 +156,13 @@ class ConstraintSet:
 
     @cached_property
     def _block_csr(self) -> tuple:
-        """Per block with data: (block, index, S_b, conj S_b) for the Schur complement.
+        """Per block with data: (block, index, S_b, R_b) for the Schur complement.
 
         S_b holds the rows vec(conj A_k) of block b for the constraints k with
-        data in that block; index addresses those rows and columns of an
-        (m, m) matrix, a slice pair when they are contiguous, np.ix_ otherwise.
+        data in that block, and R_b the same rows as [Re vec A_k | -Im vec A_k],
+        so that Re(conj(S_b) u^T) = R_b [Re u^T; Im u^T]; index addresses those
+        rows and columns of an (m, m) matrix, a slice pair when they are
+        contiguous, np.ix_ otherwise.
         """
         out = []
         for i, (s, d) in enumerate(zip(self.stacks, self.block_dims)):
@@ -163,21 +175,46 @@ class ConstraintSet:
                 index = (span, span)
             else:
                 index = np.ix_(rows, rows)
-            s_b = scipy.sparse.csr_matrix(flat[rows].conj())
-            out.append((i, index, s_b, s_b.conj()))
+            a = flat[rows]
+            s_b = scipy.sparse.csr_matrix(a.conj())
+            r_b = scipy.sparse.csr_matrix(np.concatenate([a.real, -a.imag], axis=1))
+            out.append((i, index, s_b, r_b))
         return tuple(out)
+
+    @cached_property
+    def _workspace(self) -> tuple:
+        """The buffers ``_schur`` writes: M, one W kron W^T per block side, and
+        a flat real buffer that each block reads a prefix of as [Re u^T; Im u^T]."""
+        sides = {self.block_dims[i] for i, *_ in self._block_csr}
+        krons = {d: np.empty((d * d, d * d), dtype=complex) for d in sides}
+        size = max(
+            (2 * s_b.shape[1] * s_b.shape[0] for _, _, s_b, _ in self._block_csr), default=0
+        )
+        return np.empty((self.m, self.m)), krons, np.empty(size)
 
     def _schur(self, ws) -> np.ndarray:
         """M_kl = <A_k, W A_l W> for the per-block scalings ws, summed over
-        blocks as Re(S_b (W kron W^T) S_b^H)."""
-        big_m = np.zeros((self.m, self.m))
-        for i, index, s_b, s_b_conj in self._block_csr:
+        blocks as Re(S_b (W kron W^T) S_b^H).
+
+        Returns the set's workspace: the matrix is valid until the next
+        ``_schur`` call on this set, and a caller that holds it longer copies it.
+        """
+        big_m, krons, flat = self._workspace
+        big_m.fill(0.0)
+        for i, index, s_b, r_b in self._block_csr:
             w = ws[i]
-            # kron of a C-ordered W^T; of the transposed view it is five times slower
-            u = s_b.dot(np.kron(w, w.T.copy()))
+            d = w.shape[0]
+            kron = krons[d]
+            # the products of np.kron(w, w.T), written in place
+            np.multiply(w[:, None, :, None], w.T[None, :, None, :], out=kron.reshape(d, d, d, d))
+            u = s_b.dot(kron)
             # conj(S_b) u^T is the transpose of the block's Hermitian term, whose
-            # real part is symmetric
-            big_m[index] += s_b_conj.dot(u.T).real
+            # real part is symmetric: R_b [Re u^T; Im u^T], read from a
+            # C-contiguous prefix of the buffer so that scipy copies nothing
+            re_im = flat[: 2 * u.size].reshape(2 * d * d, u.shape[0])
+            np.copyto(re_im[: d * d], u.real.T)
+            np.copyto(re_im[d * d :], u.imag.T)
+            big_m[index] += r_b.dot(re_im)
         return big_m
 
     @cached_property
@@ -282,8 +319,9 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
         inv = vecs / np.sqrt(vals)
         t = inv.conj().T @ dx @ inv
     else:
-        t = scipy.linalg.solve_triangular(ch, dx, lower=True)
-        t = scipy.linalg.solve_triangular(ch, t.conj().T, lower=True)
+        # dx passed _finite and x is positive definite, so skip the finiteness scans
+        t = scipy.linalg.solve_triangular(ch, dx, lower=True, check_finite=False)
+        t = scipy.linalg.solve_triangular(ch, t.conj().T, lower=True, check_finite=False)
     lam = float(np.linalg.eigvalsh(_sym(t))[0])
     if lam >= 0:
         return np.inf

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qmemwit import cli, detect, ising, sdp
+from qmemwit import process as pr
 from qmemwit import tensorlinalg as tl
 
 
@@ -292,6 +293,20 @@ class TestWitnessExport:
                 p = np.kron(p, cli._PAULIS[ch])
             rebuilt += item["coefficient"] * p
         assert np.max(np.abs(rebuilt - z.mat)) <= 1e-9
+
+    def test_decomposition_bitwise_equals_per_term_kron(self):
+        z = cli.witness_report_at(2.0, 1.0, 1.0, "ppt").witness
+        mat = tl.reorder(z, pr.PROCESS_LABELS).mat
+        ref = [
+            (a + b + c, float(np.trace(
+                np.kron(np.kron(cli._PAULIS[a], cli._PAULIS[b]), cli._PAULIS[c]) @ mat
+            ).real) / 8.0)
+            for a in "IXYZ" for b in "IXYZ" for c in "IXYZ"
+        ]
+        got = cli.pauli_decomposition(z)
+        assert [item["pauli"] for item in got] == [name for name, _ in ref]
+        coefficients = np.array([item["coefficient"] for item in got])
+        assert coefficients.tobytes() == np.array([value for _, value in ref]).tobytes()
 
     def test_inconclusive_raises(self, tmp_path):
         with pytest.raises(cli.InconclusivePoint):

@@ -218,6 +218,38 @@ class TestSchur:
         assert [i for i, *_ in ops._block_csr] == [0]
         self.assert_matches(ops, 59)
 
+    def test_consecutive_assemblies_share_the_workspace(self):
+        from qmemwit import detect
+
+        ops = detect._dps2_template((2, 2, 2)).constraint_set
+        rng = np.random.default_rng(61)
+        first_ws = [random_pd(rng, d) for d in ops.block_dims]
+        second_ws = [2.0 * random_pd(rng, d) for d in ops.block_dims]
+        first = ops._schur(first_ws)
+        ref = self.reference(ops, first_ws)
+        assert np.max(np.abs(first - ref)) <= 1e-12 * np.max(np.abs(ref))
+        second = ops._schur(second_ws)
+        ref = self.reference(ops, second_ws)
+        assert np.max(np.abs(second - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # valid until the next call on the set: both names hold the second assembly
+        assert second is first
+
+    def test_repeated_assembly_allocates_less_than_a_complex_m_by_m(self):
+        import tracemalloc
+
+        from qmemwit import detect
+
+        ops = detect._dps2_template((2, 2, 2)).constraint_set
+        ws = [random_pd(np.random.default_rng(67), d) for d in ops.block_dims]
+        ops._schur(ws)
+        tracemalloc.start()
+        try:
+            ops._schur(ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ops.m ** 2 * 16
+
 
 def identity_blocks(ops):
     return [np.eye(d, dtype=complex) for d in ops.block_dims]
@@ -300,7 +332,7 @@ class TestStartFactor:
         ]
         ops = problems[0].constraint_set
         problems[1].constraint_set = ops
-        gram = ops._schur(identity_blocks(ops))
+        gram = ops._schur(identity_blocks(ops)).copy()    # _start_factor assembles again
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
         factor = ops._start_factor
