@@ -15,7 +15,9 @@ iteration count, ``trajectory_sha1`` (the SHA-1 of the float64 bytes of the
 solver's trajectory rows and of its y, so equal digests mean the same
 iteration path), the reported value, for ``witness_sdp`` the SDP optimum
 and, for an infeasible ``dps2`` solve, ``certificate_min_eig``: the least
-eigenvalue of the Farkas certificate's S = -A*(y), as the solver reports it.
+eigenvalue of the Farkas certificate's S = -A*(y), as ``sdp.verify`` forms it
+from the constraint stacks (older files hold the solver's own figure, which
+was the same number).
 ``qmemwit`` is imported from the environment, so pointing PYTHONPATH at
 another checkout's ``src`` fingerprints that checkout.
 
@@ -23,9 +25,9 @@ The second form matches the entries of A and B by (method, J, h) and prints
 every entry whose verdict, status, verification, iteration count or
 trajectory_sha1 differs, the largest difference of value, optimum and
 certificate_min_eig per method (a field absent from both entries, as in
-older files, is skipped), per file
-how many ``dps2`` certificates needed polishing (certificate_min_eig < 0),
-and a histogram of the iteration differences (B - A).  It exits with status
+older files, is skipped), per file how many ``dps2`` certificates have a
+negative margin (certificate_min_eig < 0, a withheld verdict), and a
+histogram of the iteration differences (B - A).  It exits with status
 1 when an entry is missing or differs, or when a numeric difference exceeds
 --tol.
 """
@@ -137,9 +139,12 @@ def compare(a: list[dict], b: list[dict], tol: float) -> bool:
     for name, records in (("A", a), ("B", b)):
         margins = [r.get("certificate_min_eig") for r in records]
         margins = [s for s in margins if s is not None]
-        polished = sum(s < 0 for s in margins)
+        negative = sum(s < 0 for s in margins)
         least = f", least {min(margins):.2e}" if margins else ""
-        print(f"{name}: {polished} of {len(margins)} dps2 certificates needed polishing{least}")
+        print(
+            f"{name}: {negative} of {len(margins)} dps2 certificates have a negative "
+            f"margin (verdict withheld){least}"
+        )
     hist = ", ".join(f"{d:+d}: {n}" for d, n in sorted(iteration_diff.items()))
     print(f"iteration differences (B - A): {hist}")
     print("identical within tolerance" if ok else "DIFFERENT")

@@ -9,8 +9,10 @@ Commands:
 Grid convention: ``--j-range a:b:s`` takes the step *size* s with inclusive
 endpoints (0:10:0.0667 gives 151 points).  Sweep rows are ordered J-major
 then h and are independent of the worker count.  Exit codes: 0 success,
-2 usage error or witness export at an inconclusive point, 3 solver failure
-or a solver result that ``sdp.verify`` rejected.
+1 a ``verify`` run in which some criterion failed, 2 usage error or witness
+export at an inconclusive point, 3 solver failure, a solver result that
+``sdp.verify`` rejected, or a ``witness --validate N`` run in which some
+classical-memory sample gave Tr(Z W_cl) < -1e-9.
 """
 
 from __future__ import annotations
@@ -421,10 +423,10 @@ def pauli_decomposition(z: tl.TensorOperator) -> list[dict]:
     ]
 
 
-def witness_report_at(J: float, h: float, t: float, method: str) -> detect.WitnessReport:
+def witness_report(w: pr.ProcessMatrix, method: str) -> detect.WitnessReport:
     if method not in WITNESS_METHODS:
         raise ValueError(f"method {method!r} does not produce witnesses")
-    return WITNESS_METHODS[method](ising.process_matrix(J, h, t))
+    return WITNESS_METHODS[method](w)
 
 
 def export_witness(
@@ -439,7 +441,8 @@ def export_witness(
     With ``dump_dir`` set, the SDP solved is written there first, as
     ``sdp_<method>.json``.
     """
-    report = witness_report_at(J, h, t, method)
+    w = ising.process_matrix(J, h, t)
+    report = witness_report(w, method)
     if dump_dir and report.sdp_run:
         _dump_sdp(os.path.join(dump_dir, f"sdp_{method}.json"), report)
     status = _row_status(report)
@@ -451,7 +454,6 @@ def export_witness(
         )
     scale = tl.spectral_norm(report.witness)
     z = report.witness * (1.0 / scale)
-    w = ising.process_matrix(J, h, t)
     value = float(np.trace(tl.reorder(z, pr.PROCESS_LABELS).mat @ w.op.mat).real)
     payload = {
         "operator": tl.to_json_dict(z),

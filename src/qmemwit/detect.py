@@ -4,7 +4,8 @@ Three detection routes, all reading the process matrix as a bipartite state
 across A_I | A_O B_I: the partial-transpose eigenvalue test with its
 eigenvector witness, the same test as a witness SDP that accepts linear
 restrictions, and a level-2 symmetric-extension feasibility SDP whose
-infeasibility certificate maps back to a witness.  A verdict of
+infeasibility certificate maps back to a witness when ``sdp.verify`` finds
+its margin, the least eigenvalue of S = -A*(y), nonnegative.  A verdict of
 ``quantum_memory`` is always accompanied by a witness operator; everything
 else is ``inconclusive`` (separability is never certified).
 """
@@ -133,12 +134,7 @@ def _station_swap_permutation(space: tl.SubsystemSpace) -> np.ndarray:
     d_ai, d_ao, d_bi = space.dims
     if d_ai != d_ao:
         raise ValueError("swap constraint requires equal A_I and A_O dimensions")
-    perm = np.zeros(space.total_dim, dtype=int)
-    for a in range(d_ai):
-        for o in range(d_ao):
-            for b in range(d_bi):
-                perm[(a * d_ao + o) * d_bi + b] = (o * d_ai + a) * d_bi + b
-    return perm
+    return np.arange(space.total_dim).reshape(d_ai, d_ao, d_bi).transpose(1, 0, 2).reshape(-1)
 
 
 def witness_sdp(
@@ -184,15 +180,23 @@ def witness_sdp(
 
 
 def _solve_verified(problem: sdp.SdpProblem) -> tuple[sdp.SdpResult, dict]:
-    """Solve, recompute every invariant with ``sdp.verify``, report both."""
+    """Solve, recompute every invariant with ``sdp.verify``, report both.
+
+    For a verified infeasible result, ``certificate_min_eig`` is the least
+    eigenvalue of the Farkas certificate's S = -A*(y) as ``verify`` formed it
+    from the constraint stacks.
+    """
     result = sdp.solve(problem)
     verification = sdp.verify(problem, result)
-    return result, {
+    diagnostics = {
         "solver_status": result.status,
         "iterations": result.info.get("iterations"),
         "verified": verification.ok,
         "verification": str(verification),
     }
+    if result.status == sdp.INFEASIBLE and verification.ok:
+        diagnostics["certificate_min_eig"] = verification.checks["certificate_psd"][1]
+    return result, diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +241,7 @@ class _Dps2Template:
     - the remaining rows: swap symmetry between the two A_I copies.
 
     Only the marginal right-hand side depends on the process matrix under
-    test.  ``y_identity`` is the multiplier with A*(y) = -I on every block:
-    -1 on the n diagonal rows of each link group gives -I on blocks 1 and 2
-    and +2 I on block 0 (a partial transpose fixes a diagonal unit), and -3
-    on the d_ab diagonal marginal rows brings block 0 to -I.
+    test.
     """
 
     def __init__(self, dims=(2, 2, 2)):
@@ -281,10 +282,6 @@ class _Dps2Template:
         self.block_dims = (n, n, n)
         self.constraint_set = sdp.ConstraintSet(self.block_dims, stacks)
         self.m = self.constraint_set.m
-        self.y_identity = np.zeros(self.m)
-        self.y_identity[:d_ab] = -3.0
-        self.y_identity[d2 : d2 + n] = -1.0
-        self.y_identity[d2 + n2 : d2 + n2 + n] = -1.0
 
     def problem(self, w: ProcessMatrix) -> sdp.SdpProblem:
         rho = tl.reorder(w.op, PROCESS_LABELS).mat / w.op.trace().real
@@ -303,9 +300,11 @@ def dps2_feasibility(w: ProcessMatrix) -> WitnessReport:
     """Level-2 symmetric-extension test; infeasibility certifies quantum memory.
 
     Feasibility of the extension SDP is inconclusive (consistent with
-    classical memory).  Infeasibility yields a verdict when the witness
-    mapped back from the verified Farkas certificate ``result.y`` is below
-    -tol_detect(w) on W, as for the other methods; otherwise, as on a solver
+    classical memory).  A verified infeasible result is mapped to a witness
+    only when its certificate margin, the least eigenvalue of S = -A*(y) that
+    ``sdp.verify`` formed from the constraint stacks, is nonnegative; the
+    verdict is ``quantum_memory`` when the witness value on W is below
+    -tol_detect(w), as for the other methods.  Otherwise, as on a solver
     failure, the verdict is withheld with a ``reason`` in the diagnostics.
     """
     template = _dps2_template(w.dims)
@@ -314,55 +313,26 @@ def dps2_feasibility(w: ProcessMatrix) -> WitnessReport:
     run = (problem, result)
     if result.status == sdp.OPTIMAL and diagnostics["verified"]:
         return WitnessReport(METHOD_DPS2, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics, run)
-    if result.status == sdp.INFEASIBLE and diagnostics["verified"]:
-        witness, value = _certificate_witness(template, problem, w, result.y)
-        diagnostics["certificate_min_eig"] = result.info.get("certificate_min_eig")
+    margin = diagnostics.get("certificate_min_eig")
+    if not diagnostics["verified"]:
+        diagnostics["reason"] = result.info.get("reason", "unverified result")
+    elif margin < 0:
+        diagnostics["reason"] = f"certificate margin {margin:.3e} is negative: S is not PSD"
+    else:
+        # Only the marginal rows k < d_ab^2 have a right-hand side, b_k =
+        # Tr(h_k rho), so Z = -sum_k y_k h_k over them gives Tr(Z sigma) =
+        # -b(sigma).y.  A state sigma with a PPT symmetric extension X has
+        # -b(sigma).y = <S, X> >= 0, as S = -A*(y) is PSD; for the state under
+        # test, b.y = 1 gives Tr(Z rho) = -1.
+        marginal = len(template.marginal_basis)
+        z = np.tensordot(-result.y[:marginal], template.marginal_basis, axes=(0, 0))
+        witness = tl.operator(list(zip(PROCESS_LABELS, w.dims)), z).hermitized()
+        value = float(np.trace(witness.mat @ tl.reorder(w.op, PROCESS_LABELS).mat).real)
         tol = tol_detect(w)
         if value < -tol:
             return WitnessReport(METHOD_DPS2, VERDICT_QUANTUM, value, witness, diagnostics, run)
         diagnostics["reason"] = f"certificate witness value {value:.3e} is not below {-tol:.1e}"
-    else:
-        diagnostics["reason"] = result.info.get("reason", "unverified result")
     return WitnessReport(METHOD_DPS2, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics, run)
-
-
-def _certificate_witness(
-    template: _Dps2Template, problem: sdp.SdpProblem, w: ProcessMatrix, y: np.ndarray
-):
-    """Map a Farkas certificate y back through the marginal rows to a witness.
-
-    Only the marginal rows k < d_ab^2 have a right-hand side, b_k = Tr(h_k rho),
-    so Z = -sum_k y_k h_k over those rows has Tr(Z sigma) = -b(sigma).y.  For a
-    state sigma with a PPT symmetric extension X that is <S, X> >= 0, where
-    S = -A*(y) >= 0; for the state under test, b.y = 1 gives Tr(Z rho) = -1.
-    The certificate is first polished (``_polish_certificate``) so that S is
-    PSD in floating point.
-    """
-    y = _polish_certificate(template, problem, y)
-    marginal = len(template.marginal_basis)
-    z = np.tensordot(-y[:marginal], template.marginal_basis, axes=(0, 0))
-    witness = tl.operator(list(zip(PROCESS_LABELS, w.dims)), z).hermitized()
-    value = float(np.trace(witness.mat @ tl.reorder(w.op, PROCESS_LABELS).mat).real)
-    return witness, value
-
-
-def _polish_certificate(
-    template: _Dps2Template, problem: sdp.SdpProblem, y: np.ndarray
-) -> np.ndarray:
-    """Shift y along ``y_identity`` until S = -A*(y) is PSD, then rescale b.y to 1.
-
-    Adding t * y_identity adds t I to S; the least eigenvalue of S is
-    recomputed from the constraint stacks, independently of the solver.
-    """
-    s_min = min(
-        float(np.linalg.eigvalsh(-(a + a.conj().T) / 2)[0])
-        for a in problem.constraint_set.adjoint(y).blocks
-    )
-    if s_min >= 0:
-        return y
-    y = y + (-s_min * 1.05 + 1e-13) * template.y_identity
-    by = float(problem.b @ y)
-    return y / by if by > 0 else y
 
 
 # ---------------------------------------------------------------------------

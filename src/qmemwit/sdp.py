@@ -4,9 +4,10 @@ Solves   minimize  <C, X>   subject to  <A_k, X> = b_k,  X >= 0 blockwise,
 with an objective or in pure feasibility mode (C = 0).  An optimal result
 carries the primal X and the dual y; an infeasible one carries its Farkas
 certificate as y alone, with S = -A*(y) >= 0 and b.y = 1, which ``verify``
-checks by forming S from the constraint stacks.  The algorithm is a
-primal-dual path-following interior-point method on the homogeneous
-self-dual embedding, with Nesterov-Todd scaling and a Mehrotra
+checks by forming S from the constraint stacks.  The least eigenvalue of
+that S, the certificate's margin, is reported by ``verify`` alone.  The
+algorithm is a primal-dual path-following interior-point method on the
+homogeneous self-dual embedding, with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector; infeasibility certificates fall out of the same core.
 The iteration runs directly on the complex Hermitian blocks, with inner
 products <A, B> = Re Tr(A^H B) (Todd, Toh and Tutuncu, SIAM J. Optim. 8
@@ -430,7 +431,7 @@ class _Core:
                 break
 
             # infeasibility certificates from the homogeneous iterate
-            y_hat = self._try_certificate(y, by, tau, kappa, info)
+            y_hat = self._try_certificate(y, by, tau, kappa)
             if y_hat is not None:
                 return (INFEASIBLE, y_hat, info, best)
             if tau <= TAU_KAPPA_RATIO * kappa:
@@ -464,16 +465,17 @@ class _Core:
                 info["reason"] = "Schur complement factorization failed"
                 return (FAILURE, None, info, best)
             v_dir = self._solve_factored(factor, g_vec + b)
+            c_wrdw = sum(_dot(c[i], wrdw[i]) for i in range(len(dims)))
+            b_g = b - g_vec
+            denom = float(b_g @ v_dir) + h_cc + kappa / tau
 
             def newton(eta, rc, rhs_tk):
                 a_rc = self.a_of(rc)
                 c_rc = sum(_dot(c[i], rc[i]) for i in range(len(dims)))
                 rhs_p = eta * r_p - a_rc + eta * a_wrdw
                 u = self._solve_factored(factor, rhs_p)
-                c_wrdw = sum(_dot(c[i], wrdw[i]) for i in range(len(dims)))
                 rhs_g2 = eta * r_g + c_rc - eta * c_wrdw + rhs_tk / tau
-                denom = float((b - g_vec) @ v_dir) + h_cc + kappa / tau
-                d_tau = (rhs_g2 - float((b - g_vec) @ u)) / denom
+                d_tau = (rhs_g2 - float(b_g @ u)) / denom
                 d_y = u + v_dir * d_tau
                 at_dy = self.a_adj(d_y)
                 d_s = [eta * r_d[i] - at_dy[i] + c[i] * d_tau for i in range(len(dims))]
@@ -552,7 +554,7 @@ class _Core:
             status = OPTIMAL
         if status == OPTIMAL:
             return (OPTIMAL, None, info, best)
-        y_hat = self._try_certificate(y, float(b @ y), tau, kappa, info)
+        y_hat = self._try_certificate(y, float(b @ y), tau, kappa)
         if y_hat is not None:
             return (INFEASIBLE, y_hat, info, best)
         info.setdefault("reason", "iteration limit reached")
@@ -564,9 +566,9 @@ class _Core:
         # a non-finite rhs yields a non-finite direction, which solve() rejects
         return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
-    def _try_certificate(self, y, by, tau, kappa, info):
+    def _try_certificate(self, y, by, tau, kappa):
         """y / b.y if S = -A*(y / b.y) passes CERT_TOL and, unless tau has
-        collapsed, is PSD; S's least eigenvalue goes into info.  Else None."""
+        collapsed, is PSD; else None."""
         if by <= 0:
             return None
         y_hat = y / by
@@ -574,7 +576,6 @@ class _Core:
         lam = min(float(np.linalg.eigvalsh(blk)[0]) for blk in s_hat)
         norm = max(float(np.max(np.abs(blk))) for blk in s_hat)
         if lam >= -CERT_TOL * (1.0 + norm) and (tau <= TAU_KAPPA_RATIO * kappa or lam >= 0.0):
-            info["certificate_min_eig"] = lam
             return y_hat
         return None
 
@@ -626,7 +627,8 @@ class VerificationReport:
 
 
 def verify(problem: SdpProblem, result: SdpResult) -> VerificationReport:
-    """Recompute all result invariants from scratch; report-only."""
+    """Recompute all result invariants from scratch; report-only.  For an
+    infeasible result, checks["certificate_psd"][1] is lambda_min(-A*(y))."""
     checks: dict[str, tuple[bool, float, float]] = {}
     c = problem.objective or BlockMatrix.zeros(problem.block_dims)
     ops = problem.constraint_set

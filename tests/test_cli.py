@@ -189,7 +189,7 @@ class TestMethodTable:
             cli.main(["witness", "--j", "1", "--h", "1", "--method", "markov_distance",
                       "--out", str(tmp_path / "w.json")])
         with pytest.raises(ValueError, match="does not produce witnesses"):
-            cli.witness_report_at(1.0, 1.0, 1.0, "markov_distance")
+            cli.witness_report(ising.process_matrix(1.0, 1.0, 1.0), "markov_distance")
 
     def test_sweep_seed_flag_removed(self):
         with pytest.raises(SystemExit):
@@ -295,7 +295,7 @@ class TestWitnessExport:
         assert np.max(np.abs(rebuilt - z.mat)) <= 1e-9
 
     def test_decomposition_bitwise_equals_per_term_kron(self):
-        z = cli.witness_report_at(2.0, 1.0, 1.0, "ppt").witness
+        z = cli.witness_report(ising.process_matrix(2.0, 1.0, 1.0), "ppt").witness
         mat = tl.reorder(z, pr.PROCESS_LABELS).mat
         ref = [
             (a + b + c, float(np.trace(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -178,24 +179,54 @@ class TestDps2Witness:
         assert "certificate_min_eig" not in report.diagnostics
 
     def test_nonnegative_witness_value_is_inconclusive(self, w111, monkeypatch):
-        # a polish that leaves b.y <= 0 maps to a witness with Tr(Z W) >= 0
-        monkeypatch.setattr(detect, "_polish_certificate", lambda template, problem, y: -y)
+        # with a tolerance above |Tr(Z W)|, the mapped value is not below -tol
+        monkeypatch.setattr(detect, "tol_detect", lambda w: 1e3)
         report = detect.dps2_feasibility(w111)
         assert report.diagnostics["solver_status"] == sdp.INFEASIBLE
         assert report.diagnostics["verified"]
+        assert report.diagnostics["certificate_min_eig"] >= 0
         assert report.verdict == detect.VERDICT_INCONCLUSIVE
         assert report.witness is None
         assert "is not below" in report.diagnostics["reason"]
 
+    def test_negative_margin_withholds_the_verdict(self, w111, monkeypatch):
+        template = detect._dps2_template(w111.dims)
+        d_ab, n = 8, 16
+        # A*(shift) = -I on every block: -1 on the n diagonal rows of each link
+        # group gives -I on blocks 1 and 2 and +2 I on block 0, and -3 on the
+        # d_ab diagonal marginal rows brings block 0 to -I
+        shift = np.zeros(template.m)
+        shift[:d_ab] = -3.0
+        shift[d_ab**2 : d_ab**2 + n] = -1.0
+        shift[d_ab**2 + n**2 : d_ab**2 + n**2 + n] = -1.0
+        solve = sdp.solve
+
+        def shifted_solve(problem):
+            # y - t * shift subtracts t I from S = -A*(y): push its least
+            # eigenvalue to -5e-9, inside verify's CERT_TOL floor
+            result = solve(problem)
+            s_min = sdp.verify(problem, result).checks["certificate_psd"][1]
+            return dataclasses.replace(result, y=result.y - (s_min + 5e-9) * shift)
+
+        monkeypatch.setattr(sdp, "solve", shifted_solve)
+        report = detect.dps2_feasibility(w111)
+        assert report.diagnostics["solver_status"] == sdp.INFEASIBLE
+        assert report.diagnostics["verified"]
+        assert -6e-9 <= report.diagnostics["certificate_min_eig"] < 0
+        assert report.verdict == detect.VERDICT_INCONCLUSIVE
+        assert report.witness is None
+        assert report.value == 0.0
+        assert "margin" in report.diagnostics["reason"]
+
+    def test_margin_is_the_one_verify_measures(self, w111):
+        report = detect.dps2_feasibility(w111)
+        problem, result = report.sdp_run
+        margin = sdp.verify(problem, result).checks["certificate_psd"][1]
+        assert report.diagnostics["certificate_min_eig"] == margin
+        assert "certificate_min_eig" not in result.info
+
 
 class TestDps2Template:
-    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 1, 2)])
-    def test_identity_multiplier_is_exact(self, dims):
-        template = detect._dps2_template(dims)
-        for stack in template.constraint_set.stacks:
-            adjoint = np.tensordot(template.y_identity, stack, axes=(0, 0))
-            assert np.array_equal(adjoint, -np.eye(stack.shape[1]))
-
     def test_marginal_rows_read_the_state(self, w111):
         # the marginal right-hand side is b_k = Tr(h_k rho) for basis element h_k
         template = detect._dps2_template(w111.dims)
@@ -204,30 +235,6 @@ class TestDps2Template:
         expected = np.einsum("kij,ji->k", template.marginal_basis, rho).real
         assert np.max(np.abs(problem.b[: expected.size] - expected)) <= 1e-15
         assert not problem.b[expected.size :].any()
-
-    def test_polishing_restores_a_psd_certificate(self, w111):
-        template = detect._dps2_template(w111.dims)
-        problem = template.problem(w111)
-        result = sdp.solve(problem)
-        assert result.status == sdp.INFEASIBLE and sdp.verify(problem, result).ok
-        y = result.y
-
-        def s_min(y):
-            """The least eigenvalue of S = -A*(y), from the constraint stacks."""
-            blocks = problem.constraint_set.adjoint(y).blocks
-            return min(np.linalg.eigvalsh(-sdp._sym(a))[0] for a in blocks)
-
-        # adding t * y_identity to y adds t I to S = -A*(y): push S below zero
-        shifted = y - (s_min(y) + 1e-3) * template.y_identity
-        assert s_min(shifted) < -9e-4
-        polished = detect._polish_certificate(template, problem, shifted)
-        assert s_min(polished) >= 0
-        assert abs(problem.b @ polished - 1.0) <= 1e-12
-        witness, value = detect._certificate_witness(template, problem, w111, shifted)
-        rho = w111.op.mat / np.trace(w111.op.mat).real
-        assert abs(np.trace(witness.mat @ rho).real + 1.0) <= 1e-9
-        assert value < 0
-        assert not detect.validate_witness(witness, 1000).failures
 
 
 class TestValidateWitness:
