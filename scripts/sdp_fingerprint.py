@@ -17,7 +17,9 @@ iteration path), the reported value, for ``witness_sdp`` the SDP optimum
 and, for an infeasible ``dps2`` solve, ``certificate_min_eig``: the least
 eigenvalue of the Farkas certificate's S = -A*(y), as ``sdp.verify`` forms it
 from the constraint stacks (older files hold the solver's own figure, which
-was the same number).
+was the same number) and ``certificate_shifted``: whether the solver's
+shifted stop test produced that certificate (``certificate_shift`` in the
+result's info).
 ``qmemwit`` is imported from the environment, so pointing PYTHONPATH at
 another checkout's ``src`` fingerprints that checkout.
 
@@ -26,10 +28,10 @@ every entry whose verdict, status, verification, iteration count or
 trajectory_sha1 differs, the largest difference of value, optimum and
 certificate_min_eig per method (a field absent from both entries, as in
 older files, is skipped), per file how many ``dps2`` certificates have a
-negative margin (certificate_min_eig < 0, a withheld verdict), and a
-histogram of the iteration differences (B - A).  It exits with status
-1 when an entry is missing or differs, or when a numeric difference exceeds
---tol.
+negative margin (certificate_min_eig < 0, a withheld verdict) and how many
+were shifted (older files lack the field and count none), and a histogram
+of the iteration differences (B - A).  It exits with status 1 when an entry
+is missing or differs, or when a numeric difference exceeds --tol.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ def _record(j: float, h: float, method: str, report) -> dict:
         "value": report.value,
         "optimum": diag.get("optimum"),
         "certificate_min_eig": diag.get("certificate_min_eig"),
+        "certificate_shifted": "certificate_shift" in report.sdp_run[1].info,
     }
 
 
@@ -141,9 +144,10 @@ def compare(a: list[dict], b: list[dict], tol: float) -> bool:
         margins = [s for s in margins if s is not None]
         negative = sum(s < 0 for s in margins)
         least = f", least {min(margins):.2e}" if margins else ""
+        shifted = sum(bool(r.get("certificate_shifted")) for r in records if r["method"] == "dps2")
         print(
             f"{name}: {negative} of {len(margins)} dps2 certificates have a negative "
-            f"margin (verdict withheld){least}"
+            f"margin (verdict withheld){least}; {shifted} shifted"
         )
     hist = ", ".join(f"{d:+d}: {n}" for d, n in sorted(iteration_diff.items()))
     print(f"iteration differences (B - A): {hist}")

@@ -13,6 +13,21 @@ The iteration runs directly on the complex Hermitian blocks, with inner
 products <A, B> = Re Tr(A^H B) (Todd, Toh and Tutuncu, SIAM J. Optim. 8
 (1998), define the Nesterov-Todd direction on Hermitian matrices).
 
+An infeasible solve stops at the first iteration whose y yields a
+certificate.  The plain test normalizes y to y_hat = y / b.y.  When S =
+-A*(y_hat) is not PSD, the shifted test adds t_b y_b for each block b of the
+set's block shifts (``ConstraintSet._block_shifts``): y_b is a fixed
+multiplier whose -A*(y_b) fits E_b, the identity on block b, is PSD and is at
+least sigma_b > 0 on block b, so it lifts block b's spectrum by t_b sigma_b.
+The result, rescaled to b.y = 1, is returned only when its recomputed b.y is
+1 to SHIFT_NORM_TOL and its recomputed S is PSD, and the t_b are kept in
+info["certificate_shift"].  Both tests return only what the INFEASIBLE
+contract asks, and only an infeasible problem admits it, so the shift ends
+some solves earlier but changes no verdict, and a solve that it does not end
+early runs bitwise as without it.  A shifted certificate's margin is smaller
+than a converged one's: on its tightest block, about 1% of the eigenvalue
+it lifted plus CERT_TOL, over b.y'.
+
 The constraint data has one form: per block, the (m, n_b, n_b) stack of the
 operators A_k (``ConstraintSet``).  ``verify`` and ``ConstraintSet.adjoint``
 read the stacks directly, independently of the sparse matrices the solver
@@ -58,8 +73,20 @@ FEAS_TOL = 1e-8          # primal/dual residuals of an optimal result
 GAP_TOL = 1e-7           # relative duality gap of an optimal result
 CERT_TOL = 1e-8          # quality of an infeasibility certificate
 TAU_KAPPA_RATIO = 1e-8   # tau/kappa threshold of the infeasibility ratio test
+# A shifted certificate lifts each block b by t_b sigma_b = SHIFT_SLACK * max(0, -lambda_b)
+# + CERT_TOL: the 1% slack absorbs the rounding of A*(y_b) and its off-block entries,
+# and the CERT_TOL floor keeps every block's margin clear of rounding in verify's
+# recomputation from the stacks, including blocks that were already PSD.
+SHIFT_SLACK = 1.01
+# |b.y - 1| of a shifted certificate after its rescaling by 1/b.y'.  When the shift
+# uses up nearly all of b.y_hat = 1, b.y' is a near-cancellation and the rescaling
+# magnifies its rounding: such a y meets b.y = 1 only to a few 1e-11, and so does
+# the dps2 witness value derived from it.  On the 31x31 dps2 grid, plain certificates
+# meet b.y = 1 to 4e-13 at worst.
+SHIFT_NORM_TOL = 1e-12
 MAX_ITERATIONS = 200
 STEP_FRACTION = 0.98
+SLAB = 64                # rows of u per copy of the Schur assembly's blocked transpose
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -118,12 +145,12 @@ class ConstraintSet:
 
     The stacks (one (m, n_b, n_b) complex array per block) are shared between
     problems that differ only in their right-hand sides, and so are the
-    sparse matrices the solver applies them with and the Cholesky factor of
-    the Schur complement at the solver's starting point, each computed once
-    and cached.  So is the Schur workspace: the (m, m) M, one W kron W^T per
-    block side and one real buffer for the second product.  ``_schur``
-    returns M itself, overwritten by the next ``_schur`` on the set; its
-    consumer ``_factor`` copies it.  A set is used by one thread at a time,
+    sparse matrices the solver applies them with, the Cholesky factor of
+    the Schur complement at the solver's starting point and the block shifts
+    of the Farkas stop test, each computed once and cached.  So is the Schur
+    workspace: the (m, m) M, one W kron W^T per block side and one real
+    buffer for the second product.  ``_schur`` returns M itself, overwritten
+    by the next ``_schur`` on the set; its consumer ``_factor`` copies it.  A set is used by one thread at a time,
     and the sweep's worker processes each hold their own.
     """
 
@@ -211,11 +238,14 @@ class ConstraintSet:
             u = s_b.dot(kron)
             # conj(S_b) u^T is the transpose of the block's Hermitian term, whose
             # real part is symmetric: R_b [Re u^T; Im u^T], read from a
-            # C-contiguous prefix of the buffer so that scipy copies nothing
-            re_im = flat[: 2 * u.size].reshape(2 * d * d, u.shape[0])
-            np.copyto(re_im[: d * d], u.real.T)
-            np.copyto(re_im[d * d :], u.imag.T)
-            big_m[index] += r_b.dot(re_im)
+            # C-contiguous prefix of the buffer so that scipy copies nothing; the
+            # transpose is copied in slabs of SLAB rows of u, which stay in cache
+            rows = u.shape[0]
+            re_im = flat[: 2 * u.size].reshape(2, d * d, rows)
+            src = u.view(float).reshape(rows, d * d, 2).transpose(2, 1, 0)
+            for k in range(0, rows, SLAB):
+                np.copyto(re_im[:, :, k : k + SLAB], src[:, :, k : k + SLAB])
+            big_m[index] += r_b.dot(re_im.reshape(2 * d * d, rows))
         return big_m
 
     @cached_property
@@ -230,6 +260,39 @@ class ConstraintSet:
         if factor is not None:
             factor[0].setflags(write=False)
         return factor
+
+    @cached_property
+    def _block_shifts(self) -> tuple:
+        """(b, y_b, sigma_b) for each block b that -A*(y_b) lifts by sigma_b > 0.
+
+        y_b = -G^{-1} A(E_b), with G = Re(A A^H) through the start factor, is
+        the least-squares multiplier of -A*(y) = E_b.  Block b keeps it when
+        S_b = -A*(y_b) is PSD on every block (to HERM_TOL sigma_b) and
+        sigma_b = lambda_min(S_b on block b) > 0: adding t y_b to a y then
+        raises block b of -A*(y) by at least t sigma_b and lowers no block
+        (Weyl's inequality).  A*(y_b) goes through the sparse ``_conj_csr``.
+        """
+        factor = self._start_factor
+        if factor is None or self.m == 0:
+            return ()
+        dims = self.block_dims
+        # column b is A(E_b): the traces of the constraints' block-b parts
+        a_eyes = np.stack([np.einsum("kii->k", s).real for s in self.stacks], axis=1)
+        ys = -scipy.linalg.cho_solve(factor, a_eyes, check_finite=False)
+        s_flat = -self._conj_csr.T.dot(ys).conj()
+        splits = np.cumsum([d * d for d in dims])[:-1]
+        shifts = []
+        for b in range(len(dims)):
+            parts = np.split(s_flat[:, b], splits)
+            lams = [
+                float(np.linalg.eigvalsh(_sym(p.reshape(d, d)))[0]) for p, d in zip(parts, dims)
+            ]
+            sigma = lams[b]
+            if sigma > 0 and min(lams) >= -HERM_TOL * sigma:
+                y_b = np.ascontiguousarray(ys[:, b])
+                y_b.setflags(write=False)
+                shifts.append((b, y_b, sigma))
+        return tuple(shifts)
 
 
 @dataclass
@@ -343,6 +406,10 @@ def _factor(big_m):
     return None
 
 
+# a Newton direction that overflows is rejected by _finite, not reported as a warning
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
 def _finite(direction) -> bool:
     d_x, d_y, d_s, d_tau, d_kappa = direction
     parts = [d_y, np.array([d_tau, d_kappa]), *d_x, *d_s]
@@ -431,7 +498,7 @@ class _Core:
                 break
 
             # infeasibility certificates from the homogeneous iterate
-            y_hat = self._try_certificate(y, by, tau, kappa)
+            y_hat = self._try_certificate(y, by, tau, kappa, info)
             if y_hat is not None:
                 return (INFEASIBLE, y_hat, info, best)
             if tau <= TAU_KAPPA_RATIO * kappa:
@@ -499,7 +566,8 @@ class _Core:
 
             # predictor (affine) pass
             rc_aff = [-x[i] for i in range(len(dims))]
-            aff = newton(1.0, rc_aff, -tau * kappa)
+            with np.errstate(**_QUIET):
+                aff = newton(1.0, rc_aff, -tau * kappa)
             if not _finite(aff):
                 info["reason"] = "non-finite Newton direction"
                 break
@@ -515,19 +583,20 @@ class _Core:
 
             # corrector pass
             eta = 1.0 - sigma
-            rc = []
-            for i in range(len(dims)):
-                w, g, g_inv, v, lv, qv = scal[i]
-                dxa_hat = g_inv @ aff[0][i] @ g_inv
-                dsa_hat = g @ aff[2][i] @ g
-                rhat = sigma * mu * np.eye(dims[i]) - v @ v - _sym(dxa_hat @ dsa_hat)
-                # Lyapunov solve (V D + D V)/2 = rhat in V's eigenbasis
-                rq = qv.conj().T @ rhat @ qv
-                denom_l = (lv[:, None] + lv[None, :]) / 2.0
-                d_hat = qv @ (rq / denom_l) @ qv.conj().T
-                rc.append(_sym(g @ d_hat @ g))
-            rhs_tk = sigma * mu - tau * kappa - aff[3] * aff[4]
-            direction = newton(eta, rc, rhs_tk)
+            with np.errstate(**_QUIET):
+                rc = []
+                for i in range(len(dims)):
+                    w, g, g_inv, v, lv, qv = scal[i]
+                    dxa_hat = g_inv @ aff[0][i] @ g_inv
+                    dsa_hat = g @ aff[2][i] @ g
+                    rhat = sigma * mu * np.eye(dims[i]) - v @ v - _sym(dxa_hat @ dsa_hat)
+                    # Lyapunov solve (V D + D V)/2 = rhat in V's eigenbasis
+                    rq = qv.conj().T @ rhat @ qv
+                    denom_l = (lv[:, None] + lv[None, :]) / 2.0
+                    d_hat = qv @ (rq / denom_l) @ qv.conj().T
+                    rc.append(_sym(g @ d_hat @ g))
+                rhs_tk = sigma * mu - tau * kappa - aff[3] * aff[4]
+                direction = newton(eta, rc, rhs_tk)
             if not _finite(direction):
                 info["reason"] = "non-finite Newton direction"
                 break
@@ -554,7 +623,7 @@ class _Core:
             status = OPTIMAL
         if status == OPTIMAL:
             return (OPTIMAL, None, info, best)
-        y_hat = self._try_certificate(y, float(b @ y), tau, kappa)
+        y_hat = self._try_certificate(y, float(b @ y), tau, kappa, info)
         if y_hat is not None:
             return (INFEASIBLE, y_hat, info, best)
         info.setdefault("reason", "iteration limit reached")
@@ -566,18 +635,50 @@ class _Core:
         # a non-finite rhs yields a non-finite direction, which solve() rejects
         return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
-    def _try_certificate(self, y, by, tau, kappa):
-        """y / b.y if S = -A*(y / b.y) passes CERT_TOL and, unless tau has
-        collapsed, is PSD; else None."""
+    def _try_certificate(self, y, by, tau, kappa, info):
+        """A Farkas certificate from the iterate's y, or None.
+
+        The plain test: y_hat = y / b.y, if S = -A*(y_hat) passes CERT_TOL
+        and, unless tau has collapsed, is PSD.  Failing that, the shifted
+        test: when every block with lambda_b = lambda_min(S on block b) < 0
+        has a block shift (``ConstraintSet._block_shifts``), y' = y_hat +
+        sum_b t_b y_b with t_b sigma_b = SHIFT_SLACK max(0, -lambda_b) +
+        CERT_TOL lifts every block above zero by Weyl's inequality, and
+        y' / b.y' is returned when b.y' > 0, its recomputed b.y is 1 to
+        SHIFT_NORM_TOL and its recomputed S is PSD; the t_b go to
+        info["certificate_shift"].  Either way the result meets the
+        INFEASIBLE contract, b.y = 1 and S >= 0, which only an infeasible
+        problem admits, so the shift ends a solve earlier but never changes
+        its verdict.
+        """
         if by <= 0:
             return None
         y_hat = y / by
         s_hat = [-blk for blk in self.a_adj(y_hat)]
-        lam = min(float(np.linalg.eigvalsh(blk)[0]) for blk in s_hat)
+        lams = [float(np.linalg.eigvalsh(blk)[0]) for blk in s_hat]
+        lam = min(lams)
         norm = max(float(np.max(np.abs(blk))) for blk in s_hat)
         if lam >= -CERT_TOL * (1.0 + norm) and (tau <= TAU_KAPPA_RATIO * kappa or lam >= 0.0):
             return y_hat
-        return None
+        shifts = self.ops._block_shifts
+        shifted = {b for b, _, _ in shifts}
+        if any(lam_b < 0 and b not in shifted for b, lam_b in enumerate(lams)):
+            return None
+        t = [0.0] * len(self.dims)
+        y_shift = y_hat.copy()
+        for b, y_b, sigma in shifts:
+            t[b] = (SHIFT_SLACK * max(0.0, -lams[b]) + CERT_TOL) / sigma
+            y_shift += t[b] * y_b
+        by_shift = float(self.b @ y_shift)
+        if by_shift <= 0:
+            return None
+        y_shift /= by_shift
+        if abs(float(self.b @ y_shift) - 1.0) > SHIFT_NORM_TOL:
+            return None
+        if min(float(np.linalg.eigvalsh(-blk)[0]) for blk in self.a_adj(y_shift)) < 0:
+            return None
+        info["certificate_shift"] = t
+        return y_shift
 
 
 # ---------------------------------------------------------------------------

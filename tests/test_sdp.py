@@ -305,6 +305,8 @@ class TestStartFactor:
             return schur(self, ws)
 
         monkeypatch.setattr(sdp.ConstraintSet, "_schur", counted)
+        # without the shifted stop, (1.3, 0.7) runs past iteration 1
+        monkeypatch.setattr(sdp.ConstraintSet, "_block_shifts", ())
         template = detect._Dps2Template((2, 2, 2))
         problems = [
             min_eig_problem(herm(np.random.default_rng(79), 4)),
@@ -356,6 +358,72 @@ class TestStartFactor:
         assert {r.status for r in refs} == {sdp.OPTIMAL, sdp.INFEASIBLE}
         for k in (0, 1, 0, 1):
             assert_same_solve(sdp.solve(problems[k]), refs[k])
+
+
+class TestBlockShifts:
+    """ConstraintSet._block_shifts and the shifted Farkas stop it enables."""
+
+    def test_dps2_template_shifts_every_block_by_its_identity(self):
+        from qmemwit import detect
+
+        ops = detect._Dps2Template((2, 2, 2)).constraint_set
+        shifts = ops._block_shifts
+        assert [b for b, _, _ in shifts] == [0, 1, 2]
+        for b, y_b, sigma in shifts:
+            for i, got in enumerate(ops.adjoint(-y_b).blocks):
+                assert np.max(np.abs(got - np.eye(len(got)) * (i == b))) <= 1e-12
+            assert abs(sigma - 1.0) <= 1e-12
+        assert ops._block_shifts is shifts
+
+    def test_trace_constraint_gives_one_shift(self):
+        ops = min_eig_problem(herm(np.random.default_rng(89), 4)).constraint_set
+        ((b, y_b, sigma),) = ops._block_shifts
+        assert b == 0
+        assert np.allclose(y_b, [-1.0]) and abs(sigma - 1.0) <= 1e-12
+
+    def test_traceless_constraint_gives_none(self):
+        p = SdpProblem.from_constraints((2,), None, [(BlockMatrix([SIGMA_Z]), 0.0)])
+        assert p.constraint_set._block_shifts == ()
+
+    def test_shifted_stop_at_iteration_one(self, monkeypatch):
+        from qmemwit import detect, ising
+
+        problem = detect._Dps2Template((2, 2, 2)).problem(ising.process_matrix(1.3, 0.7, 1.0))
+        r = sdp.solve(problem)
+        assert r.status == sdp.INFEASIBLE
+        assert r.info["iterations"] == 1
+        assert abs(float(problem.b @ r.y) - 1.0) <= 1e-12
+        shift = r.info["certificate_shift"]
+        assert len(shift) == 3 and all(t > 0 for t in shift)
+        rep = sdp.verify(problem, r)
+        assert rep.ok, str(rep)
+        assert rep.checks["certificate_psd"][1] >= 0
+        assert json.loads(json.dumps(sdp.result_to_json(r)))["info"]["certificate_shift"] == shift
+
+        monkeypatch.setattr(sdp.ConstraintSet, "_block_shifts", ())
+        plain = sdp.solve(fresh(problem))
+        assert plain.status == sdp.INFEASIBLE
+        assert plain.info["iterations"] >= 2
+        assert "certificate_shift" not in plain.info
+        assert sdp.verify(problem, plain).ok
+
+    def test_shift_that_loses_b_dot_y_is_refused(self, monkeypatch):
+        from qmemwit import cli, detect, ising
+
+        # at this grid point the iteration-3 shift uses up all but 0.8% of
+        # b.y_hat = 1, and rescaling by 1/b.y' leaves b.y = 1 - 1.1e-11
+        grid = cli.Range(0.0, 10.0, 151).values(stride=5)
+        w = ising.process_matrix(grid[23], grid[1], 1.0)
+        problem = detect._Dps2Template((2, 2, 2)).problem(w)
+        r = sdp.solve(problem)
+        assert r.status == sdp.INFEASIBLE
+        assert r.info["iterations"] == 4 and "certificate_shift" not in r.info
+        assert abs(float(problem.b @ r.y) - 1.0) <= sdp.SHIFT_NORM_TOL
+
+        monkeypatch.setattr(sdp, "SHIFT_NORM_TOL", np.inf)
+        loose = sdp.solve(fresh(problem))
+        assert loose.info["iterations"] == 3 and "certificate_shift" in loose.info
+        assert abs(float(problem.b @ loose.y) - 1.0) > 1e-12
 
 
 class TestAdjoint:
@@ -411,23 +479,40 @@ class TestEigOracle:
         assert np.max(np.abs(x1 - x2)) <= 1e-5
 
 
+def random_feasible_problems(seed, count):
+    """Objective SDPs on one block of side 2..8 with Tr X and up to three more
+    constraints, all met by a random PD x0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        n_extra = int(rng.integers(0, 4))
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x0 = g @ g.conj().T / n
+        cons = [(eye_bm(n), float(np.trace(x0).real))]
+        for _ in range(n_extra):
+            a = herm(rng, n)
+            cons.append((BlockMatrix([a]), float(np.sum(a.conj() * x0).real)))
+        yield SdpProblem.from_constraints((n,), BlockMatrix([herm(rng, n)]), cons)
+
+
 class TestRandomFeasible:
     def test_verify_passes_on_optimal_results(self):
-        rng = np.random.default_rng(11)
-        for k in range(12):
-            n = int(rng.integers(2, 9))
-            n_extra = int(rng.integers(0, 4))
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            x0 = g @ g.conj().T / n
-            cons = [(eye_bm(n), float(np.trace(x0).real))]
-            for _ in range(n_extra):
-                a = herm(rng, n)
-                cons.append((BlockMatrix([a]), float(np.sum(a.conj() * x0).real)))
-            p = SdpProblem.from_constraints((n,), BlockMatrix([herm(rng, n)]), cons)
+        for p in random_feasible_problems(11, 12):
             r = sdp.solve(p)
             assert r.status == sdp.OPTIMAL, r.info
             rep = sdp.verify(p, r)
             assert rep.ok, str(rep)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_direction_is_rejected_quietly(self):
+        # case 8 (n = 7, two extra constraints): the corrector's Lyapunov solve
+        # overflows, _finite rejects the direction and the incumbent is optimal
+        p = list(random_feasible_problems(11, 9))[8]
+        assert p.block_dims == (7,) and p.constraint_set.m == 3
+        r = sdp.solve(p)
+        assert r.status == sdp.OPTIMAL
+        assert r.info["reason"] == "non-finite Newton direction"
+        assert sdp.verify(p, r).ok
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
