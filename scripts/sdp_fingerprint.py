@@ -20,6 +20,10 @@ from the constraint stacks (older files hold the solver's own figure, which
 was the same number) and ``certificate_shifted``: whether the solver's
 shifted stop test produced that certificate (``certificate_shift`` in the
 result's info).
+The file also holds ``sweep_csv_sha1`` and ``sweep_dumps_sha1``: the SHA-1 of
+the CSV of ``cli.sweep`` on the stride-30 grid with every method in
+``cli.METHODS``, and of the sorted names and bytes of the SDP dumps that
+sweep writes.
 ``qmemwit`` is imported from the environment, so pointing PYTHONPATH at
 another checkout's ``src`` fingerprints that checkout.
 
@@ -30,8 +34,10 @@ certificate_min_eig per method (a field absent from both entries, as in
 older files, is skipped), per file how many ``dps2`` certificates have a
 negative margin (certificate_min_eig < 0, a withheld verdict) and how many
 were shifted (older files lack the field and count none), and a histogram
-of the iteration differences (B - A).  It exits with status 1 when an entry
-is missing or differs, or when a numeric difference exceeds --tol.
+of the iteration differences (B - A), and whether the sweep hashes agree
+(files that both lack them, as older ones do, skip that check).  It exits
+with status 1 when an entry is missing or differs, when a numeric
+difference exceeds --tol, or when a sweep hash differs.
 """
 
 from __future__ import annotations
@@ -40,11 +46,15 @@ import argparse
 import collections
 import hashlib
 import json
+import os
 import sys
+import tempfile
 import time
 
 DISCRETE = ("verdict", "solver_status", "verified", "iterations", "trajectory_sha1")
 NUMERIC = ("value", "optimum", "certificate_min_eig")
+SWEEP_HASHES = ("sweep_csv_sha1", "sweep_dumps_sha1")
+SWEEP_STRIDE = 30
 H0_J = (0.5, 2.5, 4.5, 6.5, 8.5)
 
 
@@ -93,16 +103,34 @@ def fingerprint() -> list[dict]:
     return records
 
 
-def _load(path: str) -> list[dict]:
+def sweep_hashes() -> dict:
+    from qmemwit import cli
+
+    grid = cli.Range(0.0, 10.0, 151)
+    config = cli.SweepConfig(grid, grid, methods=cli.METHODS, stride=SWEEP_STRIDE)
+    with tempfile.TemporaryDirectory() as dump_dir:
+        csv = cli.rows_to_csv(cli.sweep(config, dump_dir))
+        dumps = hashlib.sha1()
+        for name in sorted(os.listdir(dump_dir)):
+            with open(os.path.join(dump_dir, name), "rb") as fh:
+                dumps.update(name.encode() + b"\0" + fh.read())
+    return {
+        "sweep_csv_sha1": hashlib.sha1(csv.encode()).hexdigest(),
+        "sweep_dumps_sha1": dumps.hexdigest(),
+    }
+
+
+def _load(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)["records"]
+        return json.load(fh)
 
 
 def _key(r: dict) -> tuple:
     return (r["method"], r["J"], r["h"])
 
 
-def compare(a: list[dict], b: list[dict], tol: float) -> bool:
+def compare(file_a: dict, file_b: dict, tol: float) -> bool:
+    a, b = file_a["records"], file_b["records"]
     by_a, by_b = {_key(r): r for r in a}, {_key(r): r for r in b}
     ok = True
     missing = by_a.keys() ^ by_b.keys()
@@ -151,6 +179,11 @@ def compare(a: list[dict], b: list[dict], tol: float) -> bool:
         )
     hist = ", ".join(f"{d:+d}: {n}" for d, n in sorted(iteration_diff.items()))
     print(f"iteration differences (B - A): {hist}")
+    for f in SWEEP_HASHES:
+        if f in file_a or f in file_b:
+            same = file_a.get(f) == file_b.get(f)
+            ok = ok and same
+            print(f"{f}: {'same' if same else 'DIFFERS'}")
     print("identical within tolerance" if ok else "DIFFERENT")
     return ok
 
@@ -176,10 +209,12 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     records = fingerprint()
+    hashes = sweep_hashes()
     payload = {
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "seconds": round(time.perf_counter() - t0, 1),
+        **hashes,
         "records": records,
     }
     with open(args.out, "w") as fh:

@@ -1,8 +1,9 @@
 """Batched ppt test and Markovian distance along one J row of the sweep grid.
 
 ``evaluate_row`` builds the process matrices of all points (J, h_k, t) of a
-row as one (N, 8, 8) stack and runs the partial-transpose test and the
-distance from the Markovian marginal on the stack.  Every step repeats the
+row as one (N, 8, 8) stack, runs the partial-transpose test and the distance
+from the Markovian marginal on the stack, and returns the stack too: it is
+the W that ``cli.sweep`` hands to the SDP methods.  Every step repeats the
 operation order of the per-point reference (``ising.process_matrix``,
 ``detect.ppt_witness``, ``process.markov_distance``) with the same NumPy and
 LAPACK calls on stacked arrays, so each value agrees with the reference bit
@@ -25,8 +26,6 @@ import numpy as np
 from . import detect, ising
 from . import process as pr
 from . import tensorlinalg as tl
-
-METHODS = ("ppt", "markov_distance")
 
 _XX = np.kron(tl.PAULI_X, tl.PAULI_X)
 _ZSUM = np.kron(tl.PAULI_Z, np.eye(2)) + np.kron(np.eye(2), tl.PAULI_Z)
@@ -96,11 +95,13 @@ def process_matrices(J: float, hs, t: float) -> tuple[np.ndarray, list[str | Non
     """
     hs = np.asarray(hs, dtype=float)
     n = len(hs)
-    # Hermitian entry for entry, so tl.herm_eig's check cannot fail here
-    ham = -J * _XX - hs[:, None, None] * _ZSUM
-    vals, vecs = np.linalg.eigh(ham)
-    phases = np.exp(-1j * t * vals)
-    u = (vecs * phases[:, None, :]) @ _dagger(vecs)
+    # Hermitian entry for entry, so tl.herm_eig's check cannot fail here; an
+    # overflow gives a U that is not unitary, which the check below records
+    with np.errstate(over="ignore", invalid="ignore"):
+        ham = -J * _XX - hs[:, None, None] * _ZSUM
+        vals, vecs = np.linalg.eigh(ham)
+        phases = np.exp(-1j * t * vals)
+        u = (vecs * phases[:, None, :]) @ _dagger(vecs)
     # not "> 1e-9": a NaN entry must fail, as it does in tl.is_unitary
     unitary = _max_abs(u @ _dagger(u) - np.eye(4)) <= 1e-9
     errors = [None if ok else _NOT_UNITARY for ok in unitary]
@@ -115,13 +116,17 @@ def process_matrices(J: float, hs, t: float) -> tuple[np.ndarray, list[str | Non
     return _hermitized(w.reshape(n, 8, 8)), errors
 
 
-def evaluate_row(J: float, hs, t: float, norm: str = "trace") -> dict[str, Column]:
-    """The ``ppt`` and ``markov_distance`` results at (J, h, t) for every h in ``hs``.
+def evaluate_row(
+    J: float, hs, t: float, norm: str = "trace"
+) -> tuple[dict[str, Column], np.ndarray]:
+    """The ``ppt`` and ``markov_distance`` results at (J, h, t) for every h in
+    ``hs``, and the (N, 8, 8) stack of process matrices they were computed on.
 
     ``ppt`` carries ``detect.ppt_witness``'s value and verdict, and
     ``markov_distance`` the value of ``process.markov_distance`` in ``norm``
     with the verdict of ``process.is_markovian``.  A point whose process
-    matrix fails gets the same error in both columns.
+    matrix fails gets the same error in both columns, so point k's matrix is
+    valid exactly where the ``ppt`` column's ``errors[k]`` is None.
     """
     if norm not in pr.NORMS:
         raise ValueError(f"unknown norm {norm!r}")
@@ -139,7 +144,7 @@ def evaluate_row(J: float, hs, t: float, norm: str = "trace") -> dict[str, Colum
     dist = Column(np.full(n, np.nan), ["error"] * n, list(errors))
     _ppt(w[points], norm2[valid], points, ppt)
     _distance(w[points], norm, w_norms[valid], points, dist)
-    return {"ppt": ppt, "markov_distance": dist}
+    return {"ppt": ppt, "markov_distance": dist}, w
 
 
 def _ppt(w: np.ndarray, norm2: np.ndarray, points: list[int], out: Column) -> None:

@@ -10,9 +10,10 @@ Grid convention: ``--j-range a:b:s`` takes the step *size* s with inclusive
 endpoints (0:10:0.0667 gives 151 points).  Sweep rows are ordered J-major
 then h and are independent of the worker count.  Exit codes: 0 success,
 1 a ``verify`` run in which some criterion failed, 2 usage error or witness
-export at an inconclusive point, 3 solver failure, a solver result that
-``sdp.verify`` rejected, or a ``witness --validate N`` run in which some
-classical-memory sample gave Tr(Z W_cl) < -1e-9.
+export at an inconclusive point, 3 a point that could not be evaluated (a
+process matrix that cannot be built, a solver failure or a solver result
+that ``sdp.verify`` rejected) or a ``witness --validate N`` run in which
+some classical-memory sample gave Tr(Z W_cl) < -1e-9.
 """
 
 from __future__ import annotations
@@ -153,63 +154,43 @@ def _failed(status: str) -> bool:
     return status.startswith(("error:", "unverified:")) or status in (sdp.MAX_ITER, sdp.FAILURE)
 
 
-def _dump_sdp(path: str, report: detect.WitnessReport) -> None:
-    """Write the SDP behind a report, problem and result, as JSON."""
-    problem, result = report.sdp_run
-    with open(path, "w") as fh:
-        json.dump(
-            {"problem": sdp.problem_to_json(problem), "result": sdp.result_to_json(result)}, fh
-        )
-
-
-def _evaluate_point(J: float, h: float, t: float, methods, dump_stem=None) -> dict[str, SweepRow]:
-    """The witness methods at one point, on one process matrix.
-
-    With ``dump_stem`` set, each SDP solved is written to
-    ``<dump_stem>_<method>.json``.
-    """
-    try:
-        w = ising.process_matrix(J, h, t)
-    except Exception as exc:
-        return {m: _error_row(J, h, t, m, exc) for m in methods}
-    rows = {}
-    for method in methods:
-        try:
-            report = WITNESS_METHODS[method](w)
-            if dump_stem and report.sdp_run:
-                _dump_sdp(f"{dump_stem}_{method}.json", report)
-        except Exception as exc:
-            rows[method] = _error_row(J, h, t, method, exc)
-        else:
-            status = _row_status(report)
-            rows[method] = SweepRow(J, h, t, method, report.value, report.verdict, status)
-    return rows
+# the factors of an (8, 8) stack entry of the row kernel
+_PROCESS_FACTORS = tuple(zip(pr.PROCESS_LABELS, (2, 2, 2)))
 
 
 def _sweep_row(task) -> list[SweepRow]:
     """Every configured method at each h of one J row, in ``methods`` order per point.
 
-    ``ppt`` and ``markov_distance`` come from the batched kernel over the
-    whole row; the SDP methods are solved point by point.  The task holds
-    the row's J index ``i``, which with the h index names its SDP dumps.
+    The batched kernel builds the row's process matrices, the only W of the
+    row, and gives ``ppt`` and ``markov_distance``.  The SDP methods are
+    solved point by point on the same W, wrapped as a ``ProcessMatrix`` only
+    at a point where one is asked for.  A point whose W is invalid gets the
+    kernel's error text in every method's row.  The task holds the row's J
+    index ``i``, which with the h index names its SDP dumps.
     """
     i, J, hs, t, methods, norm, dump_dir = task
-    columns = batch.evaluate_row(J, hs, t, norm) if set(methods) & set(batch.METHODS) else {}
-    per_point = [m for m in methods if m not in columns]
+    columns, stack = batch.evaluate_row(J, hs, t, norm)
     rows = []
     for k, h in enumerate(hs):
-        stem = dump_dir and os.path.join(dump_dir, f"sdp_{i:04d}_{k:04d}")
-        solved = _evaluate_point(J, h, t, per_point, stem) if per_point else {}
+        w = None
         for method in methods:
-            if method not in columns:
-                rows.append(solved[method])
-                continue
-            column = columns[method]
-            if column.errors[k] is not None:
-                rows.append(_error_row(J, h, t, method, column.errors[k]))
+            column = columns.get(method)
+            error = (column or columns["ppt"]).errors[k]
+            if error is not None:
+                row = _error_row(J, h, t, method, error)
+            elif column is not None:
+                row = SweepRow(J, h, t, method, float(column.values[k]), column.verdicts[k], "ok")
             else:
-                value = float(column.values[k])
-                rows.append(SweepRow(J, h, t, method, value, column.verdicts[k], "ok"))
+                dump = dump_dir and os.path.join(dump_dir, f"sdp_{i:04d}_{k:04d}_{method}.json")
+                try:
+                    if w is None:
+                        w = pr.ProcessMatrix(tl.operator(_PROCESS_FACTORS, stack[k]))
+                    report = witness_report(w, method, dump)
+                    status = _row_status(report)
+                    row = SweepRow(J, h, t, method, report.value, report.verdict, status)
+                except Exception as exc:
+                    row = _error_row(J, h, t, method, exc)
+            rows.append(row)
     return rows
 
 
@@ -227,17 +208,12 @@ def sweep(config: SweepConfig, dump_dir: str | None = None) -> list[SweepRow]:
         for i, J in enumerate(config.j_range.values(config.stride))
     ]
     if config.workers == 1:
-        chunks = map(_sweep_row, tasks)
-        rows = [row for chunk in chunks for row in chunk]
+        chunks = list(map(_sweep_row, tasks))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunksize = max(1, len(tasks) // (4 * config.workers))
-            rows = [
-                row
-                for chunk in pool.map(_sweep_row, tasks, chunksize=chunksize)
-                for row in chunk
-            ]
-    return rows
+            chunks = list(pool.map(_sweep_row, tasks, chunksize=chunksize))
+    return [row for chunk in chunks for row in chunk]
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
@@ -423,10 +399,18 @@ def pauli_decomposition(z: tl.TensorOperator) -> list[dict]:
     ]
 
 
-def witness_report(w: pr.ProcessMatrix, method: str) -> detect.WitnessReport:
+def witness_report(w: pr.ProcessMatrix, method: str, dump_path=None) -> detect.WitnessReport:
+    """``method``'s report on ``w``.  With ``dump_path`` set, the SDP it
+    solved, if any, is written there as JSON: problem and result."""
     if method not in WITNESS_METHODS:
         raise ValueError(f"method {method!r} does not produce witnesses")
-    return WITNESS_METHODS[method](w)
+    report = WITNESS_METHODS[method](w)
+    if dump_path and report.sdp_run:
+        problem, result = report.sdp_run
+        payload = {"problem": sdp.problem_to_json(problem), "result": sdp.result_to_json(result)}
+        with open(dump_path, "w") as fh:
+            json.dump(payload, fh)
+    return report
 
 
 def export_witness(
@@ -436,15 +420,18 @@ def export_witness(
 
     The exported operator is rescaled to unit spectral norm; the recorded
     value is Tr(Z W) for the rescaled witness, with the raw method value kept
-    in the diagnostics.  Raises SolverFailure when the solver failed or its
-    result is unverified, and InconclusivePoint when there is no witness.
-    With ``dump_dir`` set, the SDP solved is written there first, as
-    ``sdp_<method>.json``.
+    in the diagnostics.  Raises SolverFailure when W cannot be built (an
+    overflow, say), when the solver failed or when its result is unverified,
+    and InconclusivePoint when there is no witness.  With ``dump_dir`` set,
+    the SDP solved is written there first, as ``sdp_<method>.json``.
     """
-    w = ising.process_matrix(J, h, t)
-    report = witness_report(w, method)
-    if dump_dir and report.sdp_run:
-        _dump_sdp(os.path.join(dump_dir, f"sdp_{method}.json"), report)
+    try:
+        # the exception is the report: an overflow's warnings would repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = ising.process_matrix(J, h, t)
+    except ValueError as exc:
+        raise SolverFailure(f"no process matrix at (J={J}, h={h}, t={t}): {exc}") from exc
+    report = witness_report(w, method, dump_dir and os.path.join(dump_dir, f"sdp_{method}.json"))
     status = _row_status(report)
     if _failed(status):
         raise SolverFailure(f"no verified solver result at ({J}, {h}, {t}): {status}")
@@ -632,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"inconclusive: {exc}", file=sys.stderr)
             return EXIT_INCONCLUSIVE
         except SolverFailure as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_SOLVER_FAILURE
         print(f"wrote {args.out}: Tr(ZW) = {payload['value']:.12g}")
         if args.validate:

@@ -9,6 +9,7 @@ rule only holds with that pairing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,9 +173,9 @@ def link_product(x: TensorOperator, y: TensorOperator) -> TensorOperator:
     rest_y = [name for name in y.labels if name not in common]
     xo = tl.reorder(x, rest_x + common) if common or rest_x != list(x.labels) else x
     yo = tl.reorder(y, common + rest_y) if common or rest_y != list(y.labels) else y
-    dp = int(np.prod([x.space.dim(n) for n in rest_x], dtype=np.int64)) if rest_x else 1
-    dc = int(np.prod([x.space.dim(n) for n in common], dtype=np.int64)) if common else 1
-    dq = int(np.prod([y.space.dim(n) for n in rest_y], dtype=np.int64)) if rest_y else 1
+    dp = math.prod(x.space.dim(n) for n in rest_x)
+    dc = math.prod(x.space.dim(n) for n in common)
+    dq = math.prod(y.space.dim(n) for n in rest_y)
     x4 = xo.mat.reshape(dp, dc, dp, dc)
     y4 = yo.mat.reshape(dc, dq, dc, dq)
     # out[(p,q),(p',q')] = sum_{a,b} x[(p,a),(p',b)] y[(a,q),(b,q')]

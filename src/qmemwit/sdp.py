@@ -150,8 +150,9 @@ class ConstraintSet:
     of the Farkas stop test, each computed once and cached.  So is the Schur
     workspace: the (m, m) M, one W kron W^T per block side and one real
     buffer for the second product.  ``_schur`` returns M itself, overwritten
-    by the next ``_schur`` on the set; its consumer ``_factor`` copies it.  A set is used by one thread at a time,
-    and the sweep's worker processes each hold their own.
+    by the next ``_schur`` on the set; its consumer ``_factor`` copies it.
+    A set is used by one thread at a time, and the sweep's worker processes
+    each hold their own.
     """
 
     def __init__(self, block_dims: Sequence[int], stacks: Sequence[np.ndarray]):

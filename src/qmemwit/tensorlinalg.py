@@ -10,6 +10,7 @@ label, never by position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,7 +50,7 @@ class SubsystemSpace:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64)) if self.factors else 1
+        return math.prod(self.dims)
 
     def dim(self, label: str) -> int:
         for name, d in self.factors:

@@ -5,6 +5,7 @@ the verdict and status as strings.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ BATCHED = ("ppt", "markov_distance")
 
 def reference_rows(J, hs, t, methods=BATCHED, norm="trace"):
     """Rows of the reference path: ising.process_matrix, then
-    detect.ppt_witness and process.markov_distance at each point."""
+    detect.ppt_witness, process.markov_distance or an SDP method at each point."""
     rows = []
     for h in hs:
         try:
@@ -30,9 +31,10 @@ def reference_rows(J, hs, t, methods=BATCHED, norm="trace"):
             rows += [cli.SweepRow(J, h, t, m, math.nan, "error", f"error:{exc}") for m in methods]
             continue
         for method in methods:
-            if method == "ppt":
-                report = detect.ppt_witness(w)
-                rows.append(cli.SweepRow(J, h, t, method, report.value, report.verdict, "ok"))
+            if method != "markov_distance":
+                report = cli.WITNESS_METHODS[method](w)
+                status = report.diagnostics.get("solver_status", "ok")
+                rows.append(cli.SweepRow(J, h, t, method, report.value, report.verdict, status))
             else:
                 value = pr.markov_distance(w, norm=norm)
                 w_norm = tl.trace_norm(w.op) if norm == "trace" else tl.frobenius_norm(w.op)
@@ -128,6 +130,8 @@ def test_mixed_methods_keep_config_order_per_point():
 
 
 def test_invalid_process_matrix_fails_only_its_point(monkeypatch):
+    # the SDP methods read the kernel's W, so they see the perturbation too
+    methods = (*BATCHED, "dps2", "ppt_sdp")
     hs = [0.5, 1.0, 1.5]
     szzz = np.kron(np.kron(tl.PAULI_Z, tl.PAULI_Z), tl.PAULI_Z)
     build = batch.process_matrices
@@ -139,15 +143,17 @@ def test_invalid_process_matrix_fails_only_its_point(monkeypatch):
         return w, errors
 
     monkeypatch.setattr(batch, "process_matrices", perturbed)
-    rows = kernel_rows(1.0, hs, 1.0)
+    rows = kernel_rows(1.0, hs, 1.0, methods=methods)
     bad = ising.process_matrix(1.0, hs[1], 1.0).op + tl.operator(
         list(zip(pr.PROCESS_LABELS, (2, 2, 2))), 0.1 * szzz
     )
     status = f"error:not a valid process matrix: {pr.validate_comb(bad)}"
-    assert [(r.verdict, r.status) for r in rows[2:4]] == [("error", status)] * 2
-    assert all(math.isnan(r.value) for r in rows[2:4])
-    reference = reference_rows(1.0, hs, 1.0)
-    assert_same_rows(rows[:2] + rows[4:], reference[:2] + reference[4:])
+    assert [(r.method, r.verdict, r.status) for r in rows[4:8]] == [
+        (m, "error", status) for m in methods
+    ]
+    assert all(math.isnan(r.value) for r in rows[4:8])
+    reference = reference_rows(1.0, hs, 1.0, methods=methods)
+    assert_same_rows(rows[:4] + rows[8:], reference[:4] + reference[8:])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -156,3 +162,41 @@ def test_overflowing_point_fails_only_its_point():
     rows = kernel_rows(1.0, hs, 1.0)
     assert_same_rows(rows, reference_rows(1.0, hs, 1.0))
     assert rows[2].status == "error:operator is not unitary within tolerance"
+
+
+def test_overflow_is_recorded_without_warnings():
+    hs = [1.0, 1.7e308, 2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = kernel_rows(1.0, hs, 1.0, methods=cli.METHODS)
+    assert [r.status for r in rows if r.h == 1.7e308] == [
+        "error:operator is not unitary within tolerance"
+    ] * len(cli.METHODS)
+    assert all(r.status in ("ok", "optimal", "infeasible") for r in rows if r.h != 1.7e308)
+
+
+def test_sweep_builds_w_only_in_the_row_kernel(monkeypatch):
+    hs = [1.0, 1.7e308, 2.0]
+    expected = cli.rows_to_csv(kernel_rows(1.0, hs, 1.0, methods=cli.METHODS))
+
+    def fail(*args):
+        raise AssertionError("the per-point builder was called")
+
+    wrap, wraps = pr.ProcessMatrix, []
+    monkeypatch.setattr(ising, "process_matrix", fail)
+    monkeypatch.setattr(pr, "ProcessMatrix", lambda op: wraps.append(op) or wrap(op))
+    assert cli.rows_to_csv(kernel_rows(1.0, hs, 1.0, methods=cli.METHODS)) == expected
+    # one wrap per valid point, shared by both SDP methods
+    assert len(wraps) == 2
+
+
+def test_kernel_methods_wrap_no_process_matrix(monkeypatch):
+    # a ppt + markov_distance row, as phase_sweep runs it, pays for no wrap
+    hs = GRID.values(stride=10)
+    expected = reference_rows(2.0, hs, 1.0)
+
+    def fail(op):
+        raise AssertionError("a process matrix was wrapped")
+
+    monkeypatch.setattr(pr, "ProcessMatrix", fail)
+    assert_same_rows(kernel_rows(2.0, hs, 1.0), expected)

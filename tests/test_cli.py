@@ -320,6 +320,16 @@ class TestWitnessExport:
         )
         assert code == cli.EXIT_INCONCLUSIVE
 
+    def test_point_without_process_matrix_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        code = cli.main(["witness", "--j", "1", "--h", "1.7e308", "--out", str(out)])
+        assert code == cli.EXIT_SOLVER_FAILURE
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: no process matrix at (J=1.0, h=1.7e+308, t=1.0): "
+            "operator is not unitary within tolerance\n"
+        )
+
     def test_negative_validate_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "w.json"
         with pytest.raises(SystemExit) as exc:
