@@ -31,13 +31,14 @@ The second form matches the entries of A and B by (method, J, h) and prints
 every entry whose verdict, status, verification, iteration count or
 trajectory_sha1 differs, the largest difference of value, optimum and
 certificate_min_eig per method (a field absent from both entries, as in
-older files, is skipped), per file how many ``dps2`` certificates have a
-negative margin (certificate_min_eig < 0, a withheld verdict) and how many
-were shifted (older files lack the field and count none), and a histogram
-of the iteration differences (B - A), and whether the sweep hashes agree
-(files that both lack them, as older ones do, skip that check).  It exits
-with status 1 when an entry is missing or differs, when a numeric
-difference exceeds --tol, or when a sweep hash differs.
+older files, is skipped), per method how many values differ when printed
+``%.12g``, the precision of the sweep CSV, per file how many ``dps2``
+certificates have a negative margin (certificate_min_eig < 0, a withheld
+verdict) and how many were shifted (older files lack the field and count
+none), and a histogram of the iteration differences (B - A), and whether
+the sweep hashes agree (files that both lack them, as older ones do, skip
+that check).  It exits with status 1 when an entry is missing or differs,
+when a numeric difference exceeds --tol, or when a sweep hash differs.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import time
 DISCRETE = ("verdict", "solver_status", "verified", "iterations", "trajectory_sha1")
 NUMERIC = ("value", "optimum", "certificate_min_eig")
 SWEEP_HASHES = ("sweep_csv_sha1", "sweep_dumps_sha1")
+PRINTED = ".12g"           # the precision of the sweep CSV's values
 SWEEP_STRIDE = 30
 H0_J = (0.5, 2.5, 4.5, 6.5, 8.5)
 
@@ -120,6 +122,11 @@ def sweep_hashes() -> dict:
     }
 
 
+def _printed(value) -> str | None:
+    """The value as the sweep CSV prints it."""
+    return None if value is None else f"{value:{PRINTED}}"
+
+
 def _load(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
@@ -142,9 +149,11 @@ def compare(file_a: dict, file_b: dict, tol: float) -> bool:
     )
     iteration_diff = collections.Counter()
     counts = collections.Counter()
+    printed = collections.Counter()
     for k in sorted(by_a.keys() & by_b.keys()):
         ra, rb = by_a[k], by_b[k]
         counts[k[0]] += 1
+        printed[k[0]] += _printed(ra.get("value")) != _printed(rb.get("value"))
         diff = [f for f in DISCRETE if ra.get(f) != rb.get(f)]
         if diff:
             ok = False
@@ -164,6 +173,7 @@ def compare(file_a: dict, file_b: dict, tol: float) -> bool:
         print(
             f"{method}: {counts[method]} solves, "
             + ", ".join(f"max |d {f}| {w[f]:.2e}" for f in NUMERIC)
+            + f", {printed[method]} values differ as printed %{PRINTED}"
         )
         if max(w.values()) > tol:
             ok = False

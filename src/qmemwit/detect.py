@@ -279,8 +279,7 @@ class _Dps2Template:
             np.concatenate([zeros(d2), link_basis, zeros(n2 + len(swap))]),
             np.concatenate([zeros(d2 + n2), link_basis, zeros(len(swap))]),
         ]
-        self.block_dims = (n, n, n)
-        self.constraint_set = sdp.ConstraintSet(self.block_dims, stacks)
+        self.constraint_set = sdp.ConstraintSet((n, n, n), stacks)
         self.m = self.constraint_set.m
 
     def problem(self, w: ProcessMatrix) -> sdp.SdpProblem:
@@ -288,7 +287,7 @@ class _Dps2Template:
         entries = rho[self.marginal_index]
         b = np.zeros(self.m)
         b[: entries.size] = np.where(self.marginal_real, entries.real, entries.imag)
-        return sdp.SdpProblem(self.block_dims, None, self.constraint_set, b)
+        return sdp.SdpProblem(None, self.constraint_set, b)
 
 
 @lru_cache(maxsize=4)

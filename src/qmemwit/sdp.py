@@ -11,7 +11,14 @@ homogeneous self-dual embedding, with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector; infeasibility certificates fall out of the same core.
 The iteration runs directly on the complex Hermitian blocks, with inner
 products <A, B> = Re Tr(A^H B) (Todd, Toh and Tutuncu, SIAM J. Optim. 8
-(1998), define the Nesterov-Todd direction on Hermitian matrices).
+(1998), define the Nesterov-Todd direction on Hermitian matrices).  As
+there, each block is scaled once per iteration from X = L L^H, S = R R^H and
+the SVD R^H L = U diag(lv) V^H: G = L V diag(lv)^-1/2 gives W = G G^H, and
+the scaled point G^-1 X G^-H = G^H S G = diag(lv) is diagonal.  So the
+corrector's Lyapunov solve is an entrywise division by (lv_i + lv_j)/2, and
+the step bound of X along dX is -1/lambda_min(diag(lv)^-1/2 H diag(lv)^-1/2)
+with H = G^-1 dX G^-H, that of S the same with H = G^H dS G.  An iterate
+whose X or S has no Cholesky factor ends the iteration with that reason.
 
 An infeasible solve stops at the first iteration whose y yields a
 certificate.  The plain test normalizes y to y_hat = y / b.y.  When S =
@@ -157,6 +164,8 @@ class ConstraintSet:
 
     def __init__(self, block_dims: Sequence[int], stacks: Sequence[np.ndarray]):
         self.block_dims = tuple(int(d) for d in block_dims)
+        if any(d < 1 for d in self.block_dims):
+            raise ValueError("block dims must be positive")
         stacks = [np.asarray(s, dtype=complex) for s in stacks]
         if len(stacks) != len(self.block_dims):
             raise ValueError("one stack per block required")
@@ -300,19 +309,17 @@ class ConstraintSet:
 class SdpProblem:
     """min <C, X> (or feasibility when objective is None) s.t. <A_k, X> = b_k, X >= 0."""
 
-    block_dims: tuple[int, ...]
     objective: BlockMatrix | None
     constraint_set: ConstraintSet
     b: np.ndarray
 
+    @property
+    def block_dims(self) -> tuple[int, ...]:
+        return self.constraint_set.block_dims
+
     def __post_init__(self):
-        self.block_dims = tuple(int(d) for d in self.block_dims)
-        if any(d < 1 for d in self.block_dims):
-            raise ValueError("block dims must be positive")
         if self.objective is not None and self.objective.dims != self.block_dims:
             raise ValueError("objective dims do not match the block structure")
-        if self.constraint_set.block_dims != self.block_dims:
-            raise ValueError("constraint dims do not match the block structure")
         self.b = np.asarray(self.b, dtype=float)
         if self.b.shape != (self.constraint_set.m,):
             raise ValueError("one right-hand side per constraint required")
@@ -334,7 +341,7 @@ class SdpProblem:
             for i, d in enumerate(block_dims)
         ]
         b = np.array([v for _, v in constraints], dtype=float)
-        return SdpProblem(tuple(block_dims), objective, ConstraintSet(block_dims, stacks), b)
+        return SdpProblem(objective, ConstraintSet(block_dims, stacks), b)
 
 
 @dataclass
@@ -365,32 +372,24 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return np.vdot(a, b).real
 
 
-def _eigh_sqrt(a: np.ndarray):
-    vals, vecs = np.linalg.eigh(_sym(a))
-    vals = np.clip(vals, 1e-300, None)
-    root = np.sqrt(vals)
-    half = (vecs * root) @ vecs.conj().T
-    inv_half = (vecs / root) @ vecs.conj().T
-    return half, inv_half
+def _nt_scaling(x: np.ndarray, s: np.ndarray):
+    """(W, G, G^-1, lv) of one PD block pair, as in the module docstring, with
+    G^-1 = diag(lv)^-1/2 U^H R^H; LinAlgError when X or S has no Cholesky factor."""
+    l_x = np.linalg.cholesky(x)
+    r_s = np.linalg.cholesky(s)
+    u, lv, vh = np.linalg.svd(r_s.conj().T @ l_x)
+    lv = np.maximum(lv, 1e-300)
+    root = np.sqrt(lv)
+    g = (l_x @ vh.conj().T) / root
+    g_inv = (u.conj().T @ r_s.conj().T) / root[:, None]
+    return _sym(g @ g.conj().T), g, g_inv, lv
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx >= 0, for Hermitian PD x."""
-    try:
-        ch = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(x)
-        vals = np.clip(vals, 1e-14 * max(1.0, vals[-1]), None)
-        inv = vecs / np.sqrt(vals)
-        t = inv.conj().T @ dx @ inv
-    else:
-        # dx passed _finite and x is positive definite, so skip the finiteness scans
-        t = scipy.linalg.solve_triangular(ch, dx, lower=True, check_finite=False)
-        t = scipy.linalg.solve_triangular(ch, t.conj().T, lower=True, check_finite=False)
-    lam = float(np.linalg.eigvalsh(_sym(t))[0])
-    if lam >= 0:
-        return np.inf
-    return -1.0 / lam
+def _scaled_step(lv: np.ndarray, h_hat: np.ndarray) -> float:
+    """Largest alpha with diag(lv) + alpha h_hat >= 0, h_hat a scaled dX or dS."""
+    r = 1.0 / np.sqrt(lv)
+    lam = float(np.linalg.eigvalsh(h_hat * r[:, None] * r[None, :])[0])
+    return np.inf if lam >= 0 else -1.0 / lam
 
 
 def _factor(big_m):
@@ -507,28 +506,23 @@ class _Core:
                 return (FAILURE, None, info, best)
 
             # Nesterov-Todd scaling per block
-            scal = []
-            for i, d in enumerate(dims):
-                s_half, s_inv_half = _eigh_sqrt(s[i])
-                m_half, _ = _eigh_sqrt(s_half @ x[i] @ s_half)
-                w = _sym(s_inv_half @ m_half @ s_inv_half)
-                g, g_inv = _eigh_sqrt(w)
-                v = _sym(g @ s[i] @ g)
-                lv, qv = np.linalg.eigh(v)
-                lv = np.clip(lv, 1e-300, None)
-                scal.append((w, g, g_inv, v, lv, qv))
+            try:
+                ws, gs, g_invs, lvs = zip(*[_nt_scaling(x[i], s[i]) for i in range(len(dims))])
+            except np.linalg.LinAlgError:
+                info["reason"] = "iterate has no Cholesky factor"
+                break
 
             # Schur complement pieces shared by both passes
-            wcw = [_sym(scal[i][0] @ c[i] @ scal[i][0]) for i in range(len(dims))]
+            wcw = [_sym(ws[i] @ c[i] @ ws[i]) for i in range(len(dims))]
             g_vec = self.a_of(wcw)
             h_cc = sum(_dot(c[i], wcw[i]) for i in range(len(dims)))
-            wrdw = [_sym(scal[i][0] @ r_d[i] @ scal[i][0]) for i in range(len(dims))]
+            wrdw = [_sym(ws[i] @ r_d[i] @ ws[i]) for i in range(len(dims))]
             a_wrdw = self.a_of(wrdw)
             if it == 0:
                 # x = s = I, so W = I: the set's cached start factor
                 factor = self.ops._start_factor
             else:
-                factor = _factor(self.ops._schur([sc[0] for sc in scal]))
+                factor = _factor(self.ops._schur(ws))
             if factor is None:
                 info["reason"] = "Schur complement factorization failed"
                 return (FAILURE, None, info, best)
@@ -547,18 +541,21 @@ class _Core:
                 d_y = u + v_dir * d_tau
                 at_dy = self.a_adj(d_y)
                 d_s = [eta * r_d[i] - at_dy[i] + c[i] * d_tau for i in range(len(dims))]
-                d_x = [
-                    _sym(rc[i] - scal[i][0] @ d_s[i] @ scal[i][0])
-                    for i in range(len(dims))
-                ]
+                d_x = [_sym(rc[i] - ws[i] @ d_s[i] @ ws[i]) for i in range(len(dims))]
                 d_kappa = (rhs_tk - kappa * d_tau) / tau
                 return d_x, d_y, d_s, d_tau, d_kappa
 
-            def step_bound(d_x, d_s, d_tau, d_kappa):
+            def scaled(d_x, d_s):
+                """Per block, (G^-1 dX G^-H, G^H dS G): the direction in the scaled frame."""
+                return [
+                    (gi @ dx @ gi.conj().T, g.conj().T @ ds @ g)
+                    for g, gi, dx, ds in zip(gs, g_invs, d_x, d_s)
+                ]
+
+            def step_bound(hats, d_tau, d_kappa):
                 alpha = np.inf
-                for i in range(len(dims)):
-                    alpha = min(alpha, _max_step(x[i], d_x[i]))
-                    alpha = min(alpha, _max_step(s[i], d_s[i]))
+                for lv, (dx_hat, ds_hat) in zip(lvs, hats):
+                    alpha = min(alpha, _scaled_step(lv, dx_hat), _scaled_step(lv, ds_hat))
                 if d_tau < 0:
                     alpha = min(alpha, -tau / d_tau)
                 if d_kappa < 0:
@@ -572,7 +569,8 @@ class _Core:
             if not _finite(aff):
                 info["reason"] = "non-finite Newton direction"
                 break
-            alpha_aff = min(1.0, step_bound(aff[0], aff[2], aff[3], aff[4]))
+            aff_hats = scaled(aff[0], aff[2])
+            alpha_aff = min(1.0, step_bound(aff_hats, aff[3], aff[4]))
             mu_aff = (
                 sum(
                     _dot(x[i] + alpha_aff * aff[0][i], s[i] + alpha_aff * aff[2][i])
@@ -586,16 +584,11 @@ class _Core:
             eta = 1.0 - sigma
             with np.errstate(**_QUIET):
                 rc = []
-                for i in range(len(dims)):
-                    w, g, g_inv, v, lv, qv = scal[i]
-                    dxa_hat = g_inv @ aff[0][i] @ g_inv
-                    dsa_hat = g @ aff[2][i] @ g
-                    rhat = sigma * mu * np.eye(dims[i]) - v @ v - _sym(dxa_hat @ dsa_hat)
-                    # Lyapunov solve (V D + D V)/2 = rhat in V's eigenbasis
-                    rq = qv.conj().T @ rhat @ qv
-                    denom_l = (lv[:, None] + lv[None, :]) / 2.0
-                    d_hat = qv @ (rq / denom_l) @ qv.conj().T
-                    rc.append(_sym(g @ d_hat @ g))
+                for g, lv, (dxa_hat, dsa_hat) in zip(gs, lvs, aff_hats):
+                    rhat = np.diag(sigma * mu - lv * lv) - _sym(dxa_hat @ dsa_hat)
+                    # Lyapunov solve (V D + D V)/2 = rhat at the diagonal V = diag(lv)
+                    d_hat = rhat / ((lv[:, None] + lv[None, :]) / 2.0)
+                    rc.append(_sym(g @ d_hat @ g.conj().T))
                 rhs_tk = sigma * mu - tau * kappa - aff[3] * aff[4]
                 direction = newton(eta, rc, rhs_tk)
             if not _finite(direction):
@@ -603,7 +596,7 @@ class _Core:
                 break
             d_x, d_y, d_s, d_tau, d_kappa = direction
 
-            alpha = min(1.0, STEP_FRACTION * step_bound(d_x, d_s, d_tau, d_kappa))
+            alpha = min(1.0, STEP_FRACTION * step_bound(scaled(d_x, d_s), d_tau, d_kappa))
             if not np.isfinite(alpha) or alpha <= 1e-14:
                 info["reason"] = "step length collapsed"
                 break
@@ -809,19 +802,26 @@ def problem_to_json(p: SdpProblem) -> dict:
 
 
 def problem_from_json(data: dict) -> SdpProblem:
+    """Inverse of ``problem_to_json``; ValueError unless the file has one
+    constraint entry per block and every index k, i, j lies in its block's range."""
     dims = tuple(data["blocks"])
     objective = (
         None if data["objective"] is None else block_matrix_from_json(data["objective"])
     )
     b = np.array(data["b"], dtype=float)
+    if len(data["constraints"]) != len(dims):
+        raise ValueError(f"{len(data['constraints'])} constraint entries for {len(dims)} blocks")
     stacks = []
     for d, entries in zip(dims, data["constraints"]):
+        index = tuple(np.asarray(entries[key], dtype=int) for key in "kij")
+        for key, idx, bound in zip("kij", index, (len(b), d, d)):
+            if idx.size and (idx.min() < 0 or idx.max() >= bound):
+                raise ValueError(f"constraint index {key} outside [0, {bound})")
         stack = np.zeros((len(b), d, d), dtype=complex)
-        index = (entries["k"], entries["i"], entries["j"])
         stack.real[index] = entries["re"]
         stack.imag[index] = entries["im"]
         stacks.append(stack)
-    return SdpProblem(dims, objective, ConstraintSet(dims, stacks), b)
+    return SdpProblem(objective, ConstraintSet(dims, stacks), b)
 
 
 def result_to_json(r: SdpResult) -> dict:

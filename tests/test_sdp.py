@@ -133,6 +133,28 @@ class TestSolveExamples:
         assert r.info["reason"] == "non-finite Newton direction"
         assert sdp.verify(p, r).ok == (r.status == sdp.OPTIMAL)
 
+    @pytest.mark.parametrize("n, expected", [(4, sdp.OPTIMAL), (8, sdp.MAX_ITER)])
+    def test_cholesky_failure_of_the_iterate_reported(self, monkeypatch, n, expected):
+        # from its 13th call (iteration 6's X) every Cholesky factorization of
+        # the iterate fails; at n = 4 the incumbent already meets the result
+        # contract, at n = 8 not
+        cholesky = np.linalg.cholesky
+        calls = [0]
+
+        def failing_from_13th_call(a):
+            calls[0] += 1
+            if calls[0] >= 13:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_from_13th_call)
+        p = min_eig_problem(herm(np.random.default_rng(0), n))
+        r = sdp.solve(p)
+        assert r.info["iterations"] == 6
+        assert r.status == expected
+        assert r.info["reason"] == "iterate has no Cholesky factor"
+        assert sdp.verify(p, r).ok == (r.status == sdp.OPTIMAL)
+
     def test_iteration_cap_reported(self):
         rng = np.random.default_rng(0)
         p = min_eig_problem(herm(rng, 6))
@@ -141,24 +163,71 @@ class TestSolveExamples:
         assert r.x is None
 
 
-class TestMaxStep:
-    def test_eigen_fallback_when_cholesky_fails(self):
-        # x = Q diag(-1e-17, 1, 2, 3) Q^H has no Cholesky factor; x + a dx >= 0
-        # holds up to a = 2, where the v1 eigenvalue 1 - a/2 reaches zero
-        rng = np.random.default_rng(0)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        q, _ = np.linalg.qr(g)
-        x = sdp._sym(q @ np.diag([-1e-17, 1.0, 2.0, 3.0]) @ q.conj().T)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(x)
-        v0, v1 = q[:, 0], q[:, 1]
-        dx = np.outer(v0, v0.conj()) - np.outer(v1, v1.conj()) / 2
-        assert abs(sdp._max_step(x, dx) - 2.0) <= 1e-9
-
-
 def random_pd(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return sdp._sym(g @ g.conj().T / d + np.eye(d))
+
+
+class TestNtScaling:
+    """sdp._nt_scaling, W from the Cholesky factors of X and S and one SVD,
+    and the step bound read in its scaled frame."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(97)
+        for d in (2, 3, 5, 8, 11, 16):
+            yield rng, random_pd(rng, d), 10.0 ** rng.uniform(-3, 3) * random_pd(rng, d)
+
+    @staticmethod
+    def inv_sqrt(a):
+        vals, vecs = np.linalg.eigh(a)
+        return (vecs / np.sqrt(vals)) @ vecs.conj().T
+
+    @staticmethod
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    def test_scaled_point_is_diagonal(self):
+        for _, x, s in self.pairs():
+            w, g, g_inv, lv = sdp._nt_scaling(x, s)
+            assert self.rel(w @ s @ w, x) <= 1e-12
+            assert self.rel(g_inv @ g, np.eye(len(x))) <= 1e-12
+            assert self.rel(g @ g.conj().T, w) <= 1e-12
+            assert self.rel(g_inv @ x @ g_inv.conj().T, np.diag(lv)) <= 1e-12
+            assert self.rel(g.conj().T @ s @ g, np.diag(lv)) <= 1e-12
+
+    def test_matches_the_eigh_reference(self):
+        # W = S^-1/2 (S^1/2 X S^1/2)^1/2 S^-1/2
+        for _, x, s in self.pairs():
+            s_inv_half = self.inv_sqrt(s)
+            s_half = np.linalg.inv(s_inv_half)
+            m_inv_half = self.inv_sqrt(sdp._sym(s_half @ x @ s_half))
+            ref = s_inv_half @ np.linalg.inv(m_inv_half) @ s_inv_half
+            assert self.rel(sdp._nt_scaling(x, s)[0], ref) <= 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 7, 8, 12, 16])
+    def test_identity_pair_is_exact(self, d):
+        # ConstraintSet._start_factor relies on W = I bitwise at x = s = I
+        eye = np.eye(d, dtype=complex)
+        w, g, g_inv, lv = sdp._nt_scaling(eye, eye)
+        assert w.tobytes() == eye.tobytes()
+        assert lv.tobytes() == np.ones(d).tobytes()
+        assert np.array_equal(g, eye) and np.array_equal(g_inv, eye)
+
+    def test_step_bound_matches_the_reference(self):
+        for rng, x, s in self.pairs():
+            _, g, g_inv, lv = sdp._nt_scaling(x, s)
+            d = len(x)
+            for point, direction, to_frame in (
+                (x, herm(rng, d), lambda h: g_inv @ h @ g_inv.conj().T),
+                (s, herm(rng, d), lambda h: g.conj().T @ h @ g),
+            ):
+                root = self.inv_sqrt(point)
+                lam = np.linalg.eigvalsh(root @ direction @ root)[0]
+                assert lam < 0
+                got = sdp._scaled_step(lv, to_frame(direction))
+                assert abs(got + 1.0 / lam) <= 1e-10 * (-1.0 / lam)
+                assert sdp._scaled_step(lv, to_frame(random_pd(rng, d))) == np.inf
 
 
 def random_problem(rng):
@@ -268,10 +337,7 @@ def assert_same_solve(r, ref):
 def fresh(problem):
     """The problem on a new ConstraintSet with the same stacks, so nothing is cached."""
     ops = problem.constraint_set
-    return SdpProblem(
-        problem.block_dims, problem.objective,
-        sdp.ConstraintSet(ops.block_dims, ops.stacks), problem.b,
-    )
+    return SdpProblem(problem.objective, sdp.ConstraintSet(ops.block_dims, ops.stacks), problem.b)
 
 
 class TestStartFactor:
@@ -503,13 +569,36 @@ class TestRandomFeasible:
             rep = sdp.verify(p, r)
             assert rep.ok, str(rep)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_direction_is_rejected_quietly(self):
-        # case 8 (n = 7, two extra constraints): the corrector's Lyapunov solve
-        # overflows, _finite rejects the direction and the incumbent is optimal
+    def test_case_that_overflowed_converges(self):
+        # case 8 (n = 7, two extra constraints), whose corrector direction
+        # overflowed when the Lyapunov solve ran in an eigenbasis of the
+        # scaled point, converges with no breakdown in the diagonal frame
         p = list(random_feasible_problems(11, 9))[8]
         assert p.block_dims == (7,) and p.constraint_set.m == 3
         r = sdp.solve(p)
+        assert r.status == sdp.OPTIMAL
+        assert "reason" not in r.info
+        assert sdp.verify(p, r).ok
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_direction_is_rejected_quietly(self, monkeypatch):
+        # from its 26th call (iteration 8's predictor) every Cholesky solve
+        # returns 1e308: the direction overflows, _finite rejects it without
+        # a warning and the incumbent is optimal
+        import scipy.linalg
+
+        cho_solve = scipy.linalg.cho_solve
+        calls = [0]
+
+        def huge_from_26th_call(*args, **kwargs):
+            calls[0] += 1
+            out = cho_solve(*args, **kwargs)
+            return np.full_like(out, 1e308) if calls[0] >= 26 else out
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", huge_from_26th_call)
+        p = list(random_feasible_problems(11, 9))[8]
+        r = sdp.solve(p)
+        assert r.info["iterations"] == 8
         assert r.status == sdp.OPTIMAL
         assert r.info["reason"] == "non-finite Newton direction"
         assert sdp.verify(p, r).ok
@@ -612,6 +701,32 @@ class TestSerialization:
         p = min_eig_problem(herm(rng, 3))
         r_p, r_q = sdp.solve(p), sdp.solve(self.roundtrip(p))
         assert r_p.objective_value == r_q.objective_value
+
+    @staticmethod
+    def witness_dump():
+        from qmemwit import detect, ising
+
+        problem = detect.witness_sdp(ising.process_matrix(1.0, 1.0, 1.0)).sdp_run[0]
+        return json.loads(json.dumps(sdp.problem_to_json(problem)))
+
+    def test_extra_constraint_entries_rejected(self):
+        data = self.witness_dump()
+        assert len(data["blocks"]) == 1
+        data["constraints"] = data["constraints"] * 2
+        with pytest.raises(ValueError, match="2 constraint entries for 1 blocks"):
+            sdp.problem_from_json(data)
+
+    def test_constraint_index_out_of_range_rejected(self):
+        data = self.witness_dump()
+        data["constraints"][0]["k"][-1] = len(data["b"])
+        with pytest.raises(ValueError, match="index k outside"):
+            sdp.problem_from_json(data)
+
+    def test_negative_constraint_index_rejected(self):
+        data = self.witness_dump()
+        data["constraints"][0]["j"][0] = -1
+        with pytest.raises(ValueError, match="index j outside"):
+            sdp.problem_from_json(data)
 
     def test_result_serializes(self):
         rng = np.random.default_rng(31)
