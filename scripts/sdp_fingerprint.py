@@ -10,7 +10,8 @@ The first form records one entry per solve:
 * ``witness_sdp`` without and with the station-swap restriction at
   ``acceptance_points(60, seed=3)`` and at five h = 0 points (130 solves).
 
-Each entry holds J, h, method, verdict, solver status, verification outcome,
+Each entry holds J, h, method, the problem's shape (``block_dims`` and the
+number of constraints ``m``), verdict, solver status, verification outcome,
 iteration count, ``trajectory_sha1`` (the SHA-1 of the float64 bytes of the
 solver's trajectory rows and of its y, so equal digests mean the same
 iteration path), the reported value, for ``witness_sdp`` the SDP optimum
@@ -29,7 +30,10 @@ another checkout's ``src`` fingerprints that checkout.
 
 The second form matches the entries of A and B by (method, J, h) and prints
 every entry whose verdict, status, verification, iteration count or
-trajectory_sha1 differs, the largest difference of value, optimum and
+trajectory_sha1 differs, except that a change of problem shape is reported
+once per method and pair of shapes, with its entries, in place of their
+trajectory_sha1 mismatches (files that lack the shape, as older ones do,
+skip that check), the largest difference of value, optimum and
 certificate_min_eig per method (a field absent from both entries, as in
 older files, is skipped), per method how many values differ when printed
 ``%.12g``, the precision of the sweep CSV, per file how many ``dps2``
@@ -37,8 +41,9 @@ certificates have a negative margin (certificate_min_eig < 0, a withheld
 verdict) and how many were shifted (older files lack the field and count
 none), and a histogram of the iteration differences (B - A), and whether
 the sweep hashes agree (files that both lack them, as older ones do, skip
-that check).  It exits with status 1 when an entry is missing or differs,
-when a numeric difference exceeds --tol, or when a sweep hash differs.
+that check).  It exits with status 1 when an entry is missing, differs or
+changed shape, when a numeric difference exceeds --tol, or when a sweep hash
+differs.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ import time
 DISCRETE = ("verdict", "solver_status", "verified", "iterations", "trajectory_sha1")
 NUMERIC = ("value", "optimum", "certificate_min_eig")
 SWEEP_HASHES = ("sweep_csv_sha1", "sweep_dumps_sha1")
+SHAPE = ("block_dims", "m")
 PRINTED = ".12g"           # the precision of the sweep CSV's values
 SWEEP_STRIDE = 30
 H0_J = (0.5, 2.5, 4.5, 6.5, 8.5)
@@ -70,10 +76,13 @@ def _trajectory_sha1(result) -> str:
 
 def _record(j: float, h: float, method: str, report) -> dict:
     diag = report.diagnostics
+    problem = report.sdp_run[0]
     return {
         "J": j,
         "h": h,
         "method": method,
+        "block_dims": list(problem.block_dims),
+        "m": problem.constraint_set.m,
         "verdict": report.verdict,
         "solver_status": diag.get("solver_status"),
         "verified": bool(diag.get("verified")),
@@ -136,6 +145,12 @@ def _key(r: dict) -> tuple:
     return (r["method"], r["J"], r["h"])
 
 
+def _shape(r: dict) -> str | None:
+    if any(f not in r for f in SHAPE):
+        return None
+    return f"blocks {tuple(r['block_dims'])}, m = {r['m']}"
+
+
 def compare(file_a: dict, file_b: dict, tol: float) -> bool:
     a, b = file_a["records"], file_b["records"]
     by_a, by_b = {_key(r): r for r in a}, {_key(r): r for r in b}
@@ -150,11 +165,18 @@ def compare(file_a: dict, file_b: dict, tol: float) -> bool:
     iteration_diff = collections.Counter()
     counts = collections.Counter()
     printed = collections.Counter()
+    reshaped = collections.defaultdict(list)
     for k in sorted(by_a.keys() & by_b.keys()):
         ra, rb = by_a[k], by_b[k]
         counts[k[0]] += 1
         printed[k[0]] += _printed(ra.get("value")) != _printed(rb.get("value"))
+        shapes = (_shape(ra), _shape(rb))
         diff = [f for f in DISCRETE if ra.get(f) != rb.get(f)]
+        if None not in shapes and shapes[0] != shapes[1]:
+            # a problem of another shape takes another path: the shape change,
+            # reported once below, stands for its trajectory_sha1 mismatch
+            reshaped[(k[0], *shapes)].append(k[1:])
+            diff = [f for f in diff if f != "trajectory_sha1"]
         if diff:
             ok = False
             print(f"mismatch {k}: " + ", ".join(f"{f} {ra.get(f)!r} -> {rb.get(f)!r}" for f in diff))
@@ -168,6 +190,12 @@ def compare(file_a: dict, file_b: dict, tol: float) -> bool:
                     print(f"mismatch {k}: {f} {va!r} -> {vb!r}")
                 continue
             worst[k[0]][f] = max(worst[k[0]][f], abs(va - vb))
+    for (method, shape_a, shape_b), entries in sorted(reshaped.items()):
+        ok = False
+        print(
+            f"{method}: problem shape {shape_a} -> {shape_b} on {len(entries)} entries "
+            f"(J, h): " + ", ".join(f"({j:g}, {h:g})" for j, h in entries)
+        )
     for method in sorted(counts):
         w = worst[method]
         print(

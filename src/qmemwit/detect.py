@@ -101,34 +101,6 @@ def ppt_witness(w: ProcessMatrix) -> WitnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _swap_orbit_constraints(n: int, perm: np.ndarray):
-    """Hermitian operators whose zero set is {X : P X P = X} for a permutation P."""
-    ops = []
-    seen: set[tuple[int, int]] = set()
-    for i in range(n):
-        for j in range(n):
-            if (i, j) in seen:
-                continue
-            pi, pj = int(perm[i]), int(perm[j])
-            seen |= {(i, j), (j, i), (pi, pj), (pj, pi)}
-            if (pi, pj) == (i, j):
-                continue
-            re = np.zeros((n, n), dtype=complex)
-            re[i, j] += 0.5
-            re[j, i] += 0.5
-            re[pi, pj] -= 0.5
-            re[pj, pi] -= 0.5
-            im = np.zeros((n, n), dtype=complex)
-            im[i, j] += 0.5j
-            im[j, i] -= 0.5j
-            im[pi, pj] -= 0.5j
-            im[pj, pi] += 0.5j
-            for op in (re, im):
-                if np.max(np.abs(op)) > 1e-12:
-                    ops.append(op)
-    return ops
-
-
 def _station_swap_permutation(space: tl.SubsystemSpace) -> np.ndarray:
     """Basis permutation swapping the A_I and A_O factors of (A_I, A_O, B_I)."""
     d_ai, d_ao, d_bi = space.dims
@@ -146,31 +118,34 @@ def witness_sdp(
 
     Unconstrained, the optimum is -lambda_min(W^{T_{A_I}}).  Linear
     restrictions Tr(A_k Z) = b_k and the station-swap symmetry P Z P = Z can
-    only lower the optimum.  The returned witness is Z^{T_{A_I}} at the
-    optimizer.
+    only lower the optimum.  The symmetry adds no constraint: W^{T_{A_I}} and
+    every A_k are replaced by their averages (a + P a P) / 2 over {I, P}.
+    That problem is invariant under Z -> P Z P, so the average of any
+    feasible Z is feasible with the same objective, and its optimum is the
+    optimum restricted to P Z P = Z (Gatermann and Parrilo, J. Pure Appl.
+    Algebra 192 (2004)).  The returned witness is Z^{T_{A_I}} for the average
+    of the optimizer.  Without the symmetry P = I, and averaging changes no bit.
     """
     m = tl.partial_transpose(w.op, {A_I})
     dim = m.space.total_dim
+    perm = _station_swap_permutation(w.op.space) if swap_symmetric else np.arange(dim)
+
+    def avg(a: np.ndarray) -> np.ndarray:
+        return (a + a[np.ix_(perm, perm)]) / 2
+
     cons: list[tuple[sdp.BlockMatrix, float]] = [
         (sdp.BlockMatrix([np.eye(dim, dtype=complex)]), 1.0)
     ]
-    if swap_symmetric:
-        perm = _station_swap_permutation(w.op.space)
-        for op in _swap_orbit_constraints(dim, perm):
-            cons.append((sdp.BlockMatrix([op]), 0.0))
     for a_op, b_val in constraints or []:
-        mat = tl.reorder(a_op, w.op.labels).mat
-        cons.append((sdp.BlockMatrix([mat]), float(b_val)))
-    problem = sdp.SdpProblem.from_constraints(
-        (dim,), sdp.BlockMatrix([m.mat]), cons
-    )
+        cons.append((sdp.BlockMatrix([avg(tl.reorder(a_op, w.op.labels).mat)]), float(b_val)))
+    problem = sdp.SdpProblem.from_constraints((dim,), sdp.BlockMatrix([avg(m.mat)]), cons)
     result, diagnostics = _solve_verified(problem)
     run = (problem, result)
     if result.status != sdp.OPTIMAL or not diagnostics["verified"]:
         return WitnessReport(METHOD_PPT_SDP, VERDICT_INCONCLUSIVE, 0.0, None, diagnostics, run)
     optimum = -result.objective_value
     diagnostics["optimum"] = optimum
-    z = tl.partial_transpose(TensorOperator(m.space, result.x.blocks[0]), {A_I})
+    z = tl.partial_transpose(TensorOperator(m.space, avg(result.x.blocks[0])), {A_I})
     value = float(np.trace(z.mat @ w.op.mat).real)
     tol = tol_detect(w)
     diagnostics["tol"] = tol
@@ -238,7 +213,9 @@ class _Dps2Template:
       block 0 and h on block 1;
     - the next n^2 rows: block 2 is X^{T_B}, with -h^{T_B} on block 0 and h
       on block 2;
-    - the remaining rows: swap symmetry between the two A_I copies.
+    - the remaining rows: swap symmetry between the two A_I copies, P X P = X,
+      as h - P h P for each basis element h that P moves and whose entry
+      leads its orbit, in row-major order of the entries.
 
     Only the marginal right-hand side depends on the process matrix under
     test.
@@ -257,16 +234,24 @@ class _Dps2Template:
         marginal = np.stack([np.kron(h, lift) for h in self.marginal_basis])
 
         # block 1 is the partial transpose on the second A_I copy, block 2 on B
-        link_basis = _hermitian_basis(n)[0]
+        link_basis, rows, cols, real = _hermitian_basis(n)
 
         def transposed(labels):
             return np.stack(
                 [tl.partial_transpose(tl.operator(ext_factors, h), labels).mat for h in link_basis]
             )
 
-        # swap symmetry between the two A_I copies: (a, ob, a2) -> (a2, ob, a)
+        # swap symmetry between the two A_I copies, (a, ob, a2) -> (a2, ob, a):
+        # h - P h P for each basis element h that P moves and whose entry
+        # (i, j) comes first, row-major, among (i, j), (j, i) and their images;
+        # + 0.0 clears the sign of the zero real parts of -0.5j, which the
+        # problem's JSON dump would print
         perm = np.arange(n).reshape(d_ai, d_ao * d_bi, d_ai).transpose(2, 1, 0).reshape(-1)
-        swap = np.reshape(_swap_orbit_constraints(n, perm), (-1, n, n))
+        anti = link_basis - link_basis[:, perm][:, :, perm] + 0.0
+        p_rows, p_cols = perm[rows], perm[cols]
+        first = rows * n + cols <= np.minimum(p_rows * n + p_cols, p_cols * n + p_rows)
+        order = np.lexsort((~real, cols, rows))
+        swap = anti[order[(first & anti.any(axis=(1, 2)))[order]]]
 
         def zeros(k):
             return np.zeros((k, n, n), dtype=complex)

@@ -512,12 +512,6 @@ class _Core:
                 info["reason"] = "iterate has no Cholesky factor"
                 break
 
-            # Schur complement pieces shared by both passes
-            wcw = [_sym(ws[i] @ c[i] @ ws[i]) for i in range(len(dims))]
-            g_vec = self.a_of(wcw)
-            h_cc = sum(_dot(c[i], wcw[i]) for i in range(len(dims)))
-            wrdw = [_sym(ws[i] @ r_d[i] @ ws[i]) for i in range(len(dims))]
-            a_wrdw = self.a_of(wrdw)
             if it == 0:
                 # x = s = I, so W = I: the set's cached start factor
                 factor = self.ops._start_factor
@@ -526,10 +520,17 @@ class _Core:
             if factor is None:
                 info["reason"] = "Schur complement factorization failed"
                 return (FAILURE, None, info, best)
-            v_dir = self._solve_factored(factor, g_vec + b)
-            c_wrdw = sum(_dot(c[i], wrdw[i]) for i in range(len(dims)))
-            b_g = b - g_vec
-            denom = float(b_g @ v_dir) + h_cc + kappa / tau
+            with np.errstate(**_QUIET):
+                # Schur complement pieces shared by both passes
+                wcw = [_sym(ws[i] @ c[i] @ ws[i]) for i in range(len(dims))]
+                g_vec = self.a_of(wcw)
+                h_cc = sum(_dot(c[i], wcw[i]) for i in range(len(dims)))
+                wrdw = [_sym(ws[i] @ r_d[i] @ ws[i]) for i in range(len(dims))]
+                a_wrdw = self.a_of(wrdw)
+                v_dir = self._solve_factored(factor, g_vec + b)
+                c_wrdw = sum(_dot(c[i], wrdw[i]) for i in range(len(dims)))
+                b_g = b - g_vec
+                denom = float(b_g @ v_dir) + h_cc + kappa / tau
 
             def newton(eta, rc, rhs_tk):
                 a_rc = self.a_of(rc)

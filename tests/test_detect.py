@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -93,16 +98,68 @@ class TestWitnessSdp:
         zt = tl.partial_transpose(z, {pr.A_I}).mat  # SDP variable Z
         assert np.max(np.abs(zt[np.ix_(perm, perm)] - zt)) <= 1e-7
 
-    def test_extra_linear_restriction(self, w111):
-        # forbid any weight on the sigma_z x 1 x 1 direction
-        a = tl.operator(
+    @staticmethod
+    def sigma_z_on_a_i():
+        return tl.operator(
             [(pr.A_I, 2), (pr.A_O, 2), (pr.B_I, 2)],
             np.kron(np.kron(tl.PAULI_Z, np.eye(2)), np.eye(2)),
         )
+
+    def test_extra_linear_restriction(self, w111):
+        # forbid any weight on the sigma_z x 1 x 1 direction
+        a = self.sigma_z_on_a_i()
         report = detect.witness_sdp(w111, constraints=[(a, 0.0)])
         assert report.diagnostics["verified"]
         z_var = tl.partial_transpose(report.witness, {pr.A_I})
         assert abs(np.trace(a.mat @ z_var.mat).real) <= 1e-7
+
+    def test_swap_with_linear_restriction(self, w111):
+        a = self.sigma_z_on_a_i()
+        both = detect.witness_sdp(w111, constraints=[(a, 0.1)], swap_symmetric=True)
+        assert both.diagnostics["verified"]
+        assert both.sdp_run[0].constraint_set.m == 2
+        z_var = tl.partial_transpose(both.witness, {pr.A_I}).mat
+        perm = detect._station_swap_permutation(both.witness.space)
+        assert np.max(np.abs(z_var[np.ix_(perm, perm)] - z_var)) <= 1e-7
+        assert abs(np.trace(a.mat @ z_var).real - 0.1) <= 1e-7
+        for single in (
+            detect.witness_sdp(w111, constraints=[(a, 0.1)]),
+            detect.witness_sdp(w111, swap_symmetric=True),
+        ):
+            assert both.diagnostics["optimum"] <= single.diagnostics["optimum"] + 1e-8
+
+    def test_independent_of_blas_threads(self):
+        """The plain and swap-restricted solves at four points take the same
+        path, bit for bit, at one and at two OpenBLAS threads.
+
+        ``dps2`` is left out: its m = 672 Schur assembly and factorization
+        round differently with two threads, and so do its trajectories.
+        """
+        script = textwrap.dedent(
+            """
+            import hashlib
+            import numpy as np
+            from qmemwit import detect, ising
+            digest = hashlib.sha1()
+            for j, h in ((1.0, 1.0), (1.3, 0.7), (4.5, 0.0), (7.2, 3.9)):
+                w = ising.process_matrix(j, h, 1.0)
+                for swap in (False, True):
+                    r = detect.witness_sdp(w, swap_symmetric=swap).sdp_run[1]
+                    digest.update(np.asarray(r.info["trajectory"], dtype=np.float64).tobytes())
+                    digest.update(np.asarray(r.y, dtype=np.float64).tobytes())
+            print(digest.hexdigest())
+            """
+        )
+        src = str(pathlib.Path(detect.__file__).parents[1])
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(digests[0]) == 41 and digests[0] == digests[1]
 
     def test_duality_on_random_points(self):
         rng = np.random.default_rng(31)
@@ -235,6 +292,37 @@ class TestDps2Template:
         expected = np.einsum("kij,ji->k", template.marginal_basis, rho).real
         assert np.max(np.abs(problem.b[: expected.size] - expected)) <= 1e-15
         assert not problem.b[expected.size :].any()
+
+    def test_swap_rows(self):
+        # the rows after the marginal and the two link groups: Hermitian h
+        # with P h P = -h for the swap P of A_I and A_I2, an orthogonal basis
+        # of that space, which is 2 * 12 * 4 = 96-dimensional (P has 12
+        # eigenvalues +1 and 4 eigenvalues -1 on n = 16)
+        template = detect._Dps2Template((2, 2, 2))
+        n = 16
+        first = 64 + 2 * n * n
+        rows = template.constraint_set.stacks[0][first:]
+        assert rows.shape == (96, n, n)
+        factors = [(pr.A_I, 2), (pr.A_O, 2), (pr.B_I, 2), (detect.EXTENSION_LABEL, 2)]
+        swapped_labels = [detect.EXTENSION_LABEL, pr.A_O, pr.B_I, pr.A_I]
+
+        def swap(x):
+            return tl.reorder(tl.operator(factors, x), swapped_labels).mat
+
+        for h in rows:
+            assert np.array_equal(h, h.conj().T)
+            assert np.array_equal(swap(h), -h)
+        gram = np.einsum("kij,lij->kl", rows.conj(), rows).real
+        assert np.array_equal(gram, np.diag(np.diag(gram)))
+        embedding = np.concatenate([rows.real, rows.imag], axis=1).reshape(96, -1)
+        assert np.linalg.matrix_rank(embedding) == 96
+        g = np.random.default_rng(5).standard_normal((2, n, n))
+        x = g[0] + 1j * g[1]
+        x = x + x.conj().T
+        symmetric = (x + swap(x)) / 2
+        assert np.max(np.abs(np.einsum("kij,ij->k", rows.conj(), symmetric))) <= 1e-14
+        for stack in template.constraint_set.stacks[1:]:
+            assert not stack[first:].any()
 
 
 class TestValidateWitness:

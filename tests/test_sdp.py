@@ -580,28 +580,42 @@ class TestRandomFeasible:
         assert "reason" not in r.info
         assert sdp.verify(p, r).ok
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_direction_is_rejected_quietly(self, monkeypatch):
-        # from its 26th call (iteration 8's predictor) every Cholesky solve
-        # returns 1e308: the direction overflows, _finite rejects it without
-        # a warning and the incumbent is optimal
+    @staticmethod
+    def cho_solve_huge_from(monkeypatch, first_call):
+        """Patch scipy.linalg.cho_solve to return 1e308 from its first_call-th call."""
         import scipy.linalg
 
         cho_solve = scipy.linalg.cho_solve
         calls = [0]
 
-        def huge_from_26th_call(*args, **kwargs):
+        def huge(*args, **kwargs):
             calls[0] += 1
             out = cho_solve(*args, **kwargs)
-            return np.full_like(out, 1e308) if calls[0] >= 26 else out
+            return np.full_like(out, 1e308) if calls[0] >= first_call else out
 
-        monkeypatch.setattr(scipy.linalg, "cho_solve", huge_from_26th_call)
+        monkeypatch.setattr(scipy.linalg, "cho_solve", huge)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_direction_is_rejected_quietly(self, monkeypatch):
+        # from its 26th call (iteration 8's predictor) every Cholesky solve
+        # returns 1e308: the direction overflows, _finite rejects it without
+        # a warning and the incumbent is optimal
+        self.cho_solve_huge_from(monkeypatch, 26)
         p = list(random_feasible_problems(11, 9))[8]
         r = sdp.solve(p)
         assert r.info["iterations"] == 8
         assert r.status == sdp.OPTIMAL
         assert r.info["reason"] == "non-finite Newton direction"
         assert sdp.verify(p, r).ok
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_schur_pieces_are_rejected_quietly(self, monkeypatch):
+        # the 4th call is iteration 1's v_dir: it and denom = (b - g).v_dir
+        # overflow before either pass, and the direction is rejected as above
+        self.cho_solve_huge_from(monkeypatch, 4)
+        r = sdp.solve(list(random_feasible_problems(11, 9))[8])
+        assert r.info["iterations"] == 1
+        assert r.info["reason"] == "non-finite Newton direction"
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
