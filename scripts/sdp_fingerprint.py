@@ -20,7 +20,9 @@ eigenvalue of the Farkas certificate's S = -A*(y), as ``sdp.verify`` forms it
 from the constraint stacks (older files hold the solver's own figure, which
 was the same number) and ``certificate_shifted``: whether the solver's
 shifted stop test produced that certificate (``certificate_shift`` in the
-result's info).
+result's info), and the result's ``stop`` (``start_projection`` for a
+feasibility solve that ended at iteration 0, else None) and ``schur_shifts``
+(the diagonal-shift retries of its Schur factorizations).
 The file also holds ``sweep_csv_sha1`` and ``sweep_dumps_sha1``: the SHA-1 of
 the CSV of ``cli.sweep`` on the stride-30 grid with every method in
 ``cli.METHODS``, and of the sorted names and bytes of the SDP dumps that
@@ -38,8 +40,9 @@ certificate_min_eig per method (a field absent from both entries, as in
 older files, is skipped), per method how many values differ when printed
 ``%.12g``, the precision of the sweep CSV, per file how many ``dps2``
 certificates have a negative margin (certificate_min_eig < 0, a withheld
-verdict) and how many were shifted (older files lack the field and count
-none), and a histogram of the iteration differences (B - A), and whether
+verdict) and how many were shifted, how many ``dps2`` solves ended at the
+start projection and the total of ``schur_shifts`` (older files lack these
+fields and count none), and a histogram of the iteration differences (B - A), and whether
 the sweep hashes agree (files that both lack them, as older ones do, skip
 that check).  It exits with status 1 when an entry is missing, differs or
 changed shape, when a numeric difference exceeds --tol, or when a sweep hash
@@ -76,7 +79,7 @@ def _trajectory_sha1(result) -> str:
 
 def _record(j: float, h: float, method: str, report) -> dict:
     diag = report.diagnostics
-    problem = report.sdp_run[0]
+    problem, result = report.sdp_run
     return {
         "J": j,
         "h": h,
@@ -87,11 +90,13 @@ def _record(j: float, h: float, method: str, report) -> dict:
         "solver_status": diag.get("solver_status"),
         "verified": bool(diag.get("verified")),
         "iterations": diag.get("iterations"),
-        "trajectory_sha1": _trajectory_sha1(report.sdp_run[1]),
+        "trajectory_sha1": _trajectory_sha1(result),
         "value": report.value,
         "optimum": diag.get("optimum"),
         "certificate_min_eig": diag.get("certificate_min_eig"),
-        "certificate_shifted": "certificate_shift" in report.sdp_run[1].info,
+        "certificate_shifted": "certificate_shift" in result.info,
+        "stop": result.info.get("stop"),
+        "schur_shifts": result.info.get("schur_shifts"),
     }
 
 
@@ -211,9 +216,14 @@ def compare(file_a: dict, file_b: dict, tol: float) -> bool:
         negative = sum(s < 0 for s in margins)
         least = f", least {min(margins):.2e}" if margins else ""
         shifted = sum(bool(r.get("certificate_shifted")) for r in records if r["method"] == "dps2")
+        started = sum(
+            r.get("stop") == "start_projection" for r in records if r["method"] == "dps2"
+        )
+        retries = sum(r.get("schur_shifts") or 0 for r in records)
         print(
             f"{name}: {negative} of {len(margins)} dps2 certificates have a negative "
-            f"margin (verdict withheld){least}; {shifted} shifted"
+            f"margin (verdict withheld){least}; {shifted} shifted; {started} dps2 solves "
+            f"ended at the start projection; {retries} Schur factor retries"
         )
     hist = ", ".join(f"{d:+d}: {n}" for d, n in sorted(iteration_diff.items()))
     print(f"iteration differences (B - A): {hist}")

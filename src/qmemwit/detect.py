@@ -284,12 +284,17 @@ def dps2_feasibility(w: ProcessMatrix) -> WitnessReport:
     """Level-2 symmetric-extension test; infeasibility certifies quantum memory.
 
     Feasibility of the extension SDP is inconclusive (consistent with
-    classical memory).  A verified infeasible result is mapped to a witness
-    only when its certificate margin, the least eigenvalue of S = -A*(y) that
-    ``sdp.verify`` formed from the constraint stacks, is nonnegative; the
-    verdict is ``quantum_memory`` when the witness value on W is below
-    -tol_detect(w), as for the other methods.  Otherwise, as on a solver
-    failure, the verdict is withheld with a ``reason`` in the diagnostics.
+    classical memory).  On the Markovian J = 0 line rho has full rank, and
+    the projection of the solver's start point onto the extension's affine
+    set is already a positive-definite extension: the solve ends there, at
+    iteration 0, optimal with y = 0 (``info["stop"]`` is
+    ``start_projection``).  A verified infeasible result is mapped to a
+    witness only when its certificate margin, the least eigenvalue of
+    S = -A*(y) that ``sdp.verify`` formed from the constraint stacks, is
+    nonnegative; the verdict is ``quantum_memory`` when the witness value on
+    W is below -tol_detect(w), as for the other methods.  Otherwise, as on a
+    solver failure, the verdict is withheld with a ``reason`` in the
+    diagnostics.
     """
     template = _dps2_template(w.dims)
     problem = template.problem(w)

@@ -35,6 +35,20 @@ early runs bitwise as without it.  A shifted certificate's margin is smaller
 than a converged one's: on its tightest block, about 1% of the eigenvalue
 it lifted plus CERT_TOL, over b.y'.
 
+A feasibility solve (no objective, C = 0) stops at iteration 0 when its start
+projection is positive definite.  There X = S = I, y = 0 and g_vec = A(W C W)
+is exactly 0, so the first Schur solve gives v_dir = G^-1 b, with G = Re(A A^H)
+the Gram matrix of the start factor, and the projection of I onto {A(X) = b}
+is X_p = I - A*(G^-1 (A(I) - b)) = P_0 + A*(v_dir), with P_0 = I -
+A*(G^-1 A(I)) cached per set (``ConstraintSet._start_projection``).  When every
+block of X_p has a Cholesky factor and its recomputed primal residual is at
+most 0.1 FEAS_TOL, the solve returns OPTIMAL with x = X_p, y = 0 and
+objective 0: S = C - A*(0) = 0 and the gap is 0, so the result meets the
+OPTIMAL contract as it stands.  This is the projection-and-check step of
+Peyrl and Parrilo, Theor. Comput. Sci. 409 (2008), at the one point where it
+costs no solve; info["stop"] reads "start_projection".  The test only reads
+the iterate, so a solve that it does not end runs bitwise as without it.
+
 The constraint data has one form: per block, the (m, n_b, n_b) stack of the
 operators A_k (``ConstraintSet``).  ``verify`` and ``ConstraintSet.adjoint``
 read the stacks directly, independently of the sparse matrices the solver
@@ -53,13 +67,17 @@ once; only the two products' results are allocated per block.  The M that
 ``ConstraintSet._schur`` returns is that workspace, valid until the set's
 next assembly.
 
-The module keeps no state between solves but that workspace and one factor
-per ``ConstraintSet``: every solve starts at X = S = I, where the Nesterov-Todd
-scaling is W = I and M is the Gram matrix Re(A A^H) of the constraints, so
-the Cholesky factor of that M is computed once and shared by every problem
-built on the set.  Each result explains itself in ``info``: the iteration
-count, the per-iteration trajectory of (iteration, mu, primal residual,
-dual residual, gap, tau, kappa) and the reason for any failure.
+The module keeps no state between solves but what each ``ConstraintSet``
+caches: that workspace, the block shifts, P_0 and one factor.  Every solve
+starts at X = S = I, where the Nesterov-Todd scaling is W = I and M is the
+Gram matrix Re(A A^H) of the constraints, so the Cholesky factor of that M is
+computed once and shared by every problem built on the set.  Each result
+explains itself in ``info``: the iteration count, the per-iteration
+trajectory of (iteration, mu, primal residual, dual residual, gap, tau,
+kappa), the diagonal-shift retries of the Schur factorizations of
+iterations 1 and later (``schur_shifts``; the start factor belongs to the
+set), the ``stop`` of a solve that ended at its start projection and the
+reason for any failure.
 ``problem_to_json`` and ``result_to_json`` serialize one solve, each
 constraint stack as its nonzero entries; the command line's ``--dump-sdp``
 writes them per grid point.
@@ -153,10 +171,11 @@ class ConstraintSet:
     The stacks (one (m, n_b, n_b) complex array per block) are shared between
     problems that differ only in their right-hand sides, and so are the
     sparse matrices the solver applies them with, the Cholesky factor of
-    the Schur complement at the solver's starting point and the block shifts
-    of the Farkas stop test, each computed once and cached.  So is the Schur
-    workspace: the (m, m) M, one W kron W^T per block side and one real
-    buffer for the second product.  ``_schur`` returns M itself, overwritten
+    the Schur complement at the solver's starting point, the constant part
+    of the start point's projection and the block shifts of the Farkas stop
+    test, each computed once and cached.  So is the Schur workspace: the
+    (m, m) M, one W kron W^T per block side and one real buffer for the
+    second product.  ``_schur`` returns M itself, overwritten
     by the next ``_schur`` on the set; its consumer ``_factor`` copies it.
     A set is used by one thread at a time, and the sweep's worker processes
     each hold their own.
@@ -266,10 +285,28 @@ class ConstraintSet:
         W = I exactly, so iteration 0 of every problem on this set factors
         this same matrix.
         """
-        factor = _factor(self._schur([np.eye(d, dtype=complex) for d in self.block_dims]))
+        factor, _ = _factor(self._schur([np.eye(d, dtype=complex) for d in self.block_dims]))
         if factor is not None:
             factor[0].setflags(write=False)
         return factor
+
+    @cached_property
+    def _start_projection(self):
+        """P_0 = I - A*(G^{-1} A(I)) per block, read-only; None without a start factor.
+
+        The projection of the start point I onto {A(X) = b} is
+        I - A*(G^{-1} (A(I) - b)) = P_0 + A*(G^{-1} b), with G = Re(A A^H)
+        through the start factor, so only its term in b depends on the problem.
+        """
+        factor = self._start_factor
+        if factor is None or self.m == 0:
+            return None
+        a_eye = sum(np.einsum("kii->k", s).real for s in self.stacks)
+        z = scipy.linalg.cho_solve(factor, a_eye, check_finite=False)
+        blocks = tuple(np.eye(d) - _sym(a) for d, a in zip(self.block_dims, self.adjoint(z).blocks))
+        for blk in blocks:
+            blk.setflags(write=False)
+        return blocks
 
     @cached_property
     def _block_shifts(self) -> tuple:
@@ -393,17 +430,18 @@ def _scaled_step(lv: np.ndarray, h_hat: np.ndarray) -> float:
 
 
 def _factor(big_m):
-    """cho_factor of the Schur complement, retried with growing diagonal
-    shifts; None when every attempt fails."""
+    """(cho_factor, retries) of the Schur complement: the factor is retried
+    with growing diagonal shifts, retries counts the shifted attempts, and
+    the factor is None when every attempt fails."""
     m = big_m.shape[0]
     scale = max(np.trace(big_m) / max(m, 1), 1e-30)
     shifted = big_m
     for attempt in range(4):
         try:
-            return scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
+            return scipy.linalg.cho_factor(shifted, lower=True, check_finite=False), attempt
         except np.linalg.LinAlgError:
             shifted = big_m + scale * 10.0 ** (-14 + 4 * attempt) * np.eye(m)
-    return None
+    return None, 3
 
 
 # a Newton direction that overflows is rejected by _finite, not reported as a warning
@@ -419,9 +457,10 @@ def _finite(direction) -> bool:
 class _Core:
     """One homogeneous self-dual solve on complex Hermitian blocks."""
 
-    def __init__(self, c_blocks, constraint_set, b):
+    def __init__(self, c_blocks, constraint_set, b, feasibility=False):
         self.dims = dims = constraint_set.block_dims
         self.c = c_blocks
+        self.feasibility = feasibility         # no objective: C = 0
         self.ops = constraint_set
         self.asp = constraint_set._conj_csr    # (m, sum n^2), rows vec(conj A_k)
         self.asp_t = self.asp.T                # taken once: each .T builds a new matrix
@@ -454,7 +493,7 @@ class _Core:
         best_parts = (np.inf, np.inf, np.inf)
         status = MAX_ITER
         trajectory: list[tuple] = []
-        info = {"iterations": 0, "trajectory": trajectory}
+        info = {"iterations": 0, "trajectory": trajectory, "schur_shifts": 0}
 
         for it in range(max_iterations):
             info["iterations"] = it
@@ -516,7 +555,8 @@ class _Core:
                 # x = s = I, so W = I: the set's cached start factor
                 factor = self.ops._start_factor
             else:
-                factor = _factor(self.ops._schur(ws))
+                factor, retries = _factor(self.ops._schur(ws))
+                info["schur_shifts"] += retries
             if factor is None:
                 info["reason"] = "Schur complement factorization failed"
                 return (FAILURE, None, info, best)
@@ -531,6 +571,13 @@ class _Core:
                 c_wrdw = sum(_dot(c[i], wrdw[i]) for i in range(len(dims)))
                 b_g = b - g_vec
                 denom = float(b_g @ v_dir) + h_cc + kappa / tau
+
+            if it == 0 and self.feasibility:
+                # C = 0 makes g_vec exactly 0, so v_dir = G^-1 b
+                x_p = self._start_point_stop(v_dir)
+                if x_p is not None:
+                    info["stop"] = "start_projection"
+                    return (OPTIMAL, None, info, (x_p, np.zeros(self.m)))
 
             def newton(eta, rc, rhs_tk):
                 a_rc = self.a_of(rc)
@@ -624,6 +671,24 @@ class _Core:
         info.setdefault("reason", "iteration limit reached")
         return (MAX_ITER, None, info, best)
 
+    def _start_point_stop(self, v_dir):
+        """X_p = P_0 + A*(v_dir), the projection of the start point onto
+        {A(X) = b} when v_dir = G^-1 b, if every block of X_p has a Cholesky
+        factor and its recomputed primal residual is at most 0.1 FEAS_TOL;
+        else None.  Blocks are tried in order, and the residual only after all."""
+        p_0 = self.ops._start_projection
+        if p_0 is None:
+            return None
+        with np.errstate(**_QUIET):
+            x_p = [p + d for p, d in zip(p_0, self.a_adj(v_dir))]
+            try:
+                for blk in x_p:
+                    np.linalg.cholesky(blk)
+            except np.linalg.LinAlgError:
+                return None
+            pres = np.linalg.norm(self.a_of(x_p) - self.b) / (1.0 + np.linalg.norm(self.b))
+        return x_p if pres <= 0.1 * FEAS_TOL else None
+
     def _solve_factored(self, factor, rhs):
         if self.m == 0:
             return np.zeros(0)
@@ -686,11 +751,13 @@ def solve(problem: SdpProblem, max_iterations: int = MAX_ITERATIONS) -> SdpResul
     Never silently returns a wrong answer: hitting the iteration cap or a
     numerical breakdown is reported in the status.  ``info`` holds the
     iteration count, the (it, mu, pres, dres, gap, tau, kappa) trajectory
-    with one row per iteration entered, and the reason for any failure.
+    with one row per iteration entered, the Schur factorizations'
+    diagonal-shift retries (``schur_shifts``), ``stop`` when a feasibility
+    solve ended at its start projection, and the reason for any failure.
     """
     c = problem.objective or BlockMatrix.zeros(problem.block_dims)
     ops = problem.constraint_set
-    core = _Core(c.blocks, ops, problem.b)
+    core = _Core(c.blocks, ops, problem.b, feasibility=problem.objective is None)
     status, y_hat, info, best = core.solve(max_iterations=max_iterations)
 
     if status == OPTIMAL and best is not None:

@@ -184,6 +184,46 @@ class TestDps2:
         assert report.diagnostics["solver_status"] == "optimal"
         assert report.diagnostics["verified"]
 
+    @pytest.mark.parametrize("h", [0.0, 0.7, 3.3, 10.0])
+    def test_markovian_column_ends_at_the_start_projection(self, h):
+        # at J = 0 rho has full rank, and the projection of I onto the
+        # extension's affine set is already a positive-definite extension
+        report = detect.dps2_feasibility(ising.process_matrix(0.0, h, 1.0))
+        problem, result = report.sdp_run
+        assert report.verdict == detect.VERDICT_INCONCLUSIVE
+        assert report.diagnostics["solver_status"] == sdp.OPTIMAL
+        assert report.diagnostics["verified"]
+        assert report.diagnostics["iterations"] == 0
+        assert result.info["stop"] == "start_projection"
+        assert not result.y.any()
+        ax = sum(
+            np.einsum("kij,ij->k", stack, x.conj()).real
+            for stack, x in zip(problem.constraint_set.stacks, result.x.blocks)
+        )
+        assert np.linalg.norm(ax - problem.b) <= sdp.FEAS_TOL
+        assert all(np.linalg.eigvalsh(x)[0] > 0 for x in result.x.blocks)
+
+    def test_h0_point_still_iterates(self):
+        report = detect.dps2_feasibility(ising.process_matrix(1.3, 0.0, 1.0))
+        result = report.sdp_run[1]
+        assert report.diagnostics["solver_status"] == sdp.OPTIMAL
+        assert report.diagnostics["verified"]
+        assert result.info["iterations"] >= 2
+        assert "stop" not in result.info
+
+    def test_start_projection_stop_needs_a_feasible_extension_and_no_objective(self, w111):
+        # the witness SDP at J = 0 has a PD projection of I, Tr Z = 1 gives I/8,
+        # but an objective; (1, 1, 1) has no extension
+        reports = [
+            detect.witness_sdp(ising.process_matrix(0.0, 0.7, 1.0)),
+            detect.witness_sdp(w111, swap_symmetric=True),
+            detect.dps2_feasibility(w111),
+        ]
+        assert [r.sdp_run[1].status for r in reports] == [sdp.OPTIMAL, sdp.OPTIMAL, sdp.INFEASIBLE]
+        for report in reports:
+            assert report.diagnostics["iterations"] >= 1
+            assert "stop" not in report.sdp_run[1].info
+
     def test_feasible_on_random_classical(self):
         # separable states always admit symmetric extensions
         for seed in range(100):

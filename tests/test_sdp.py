@@ -351,7 +351,8 @@ class TestStartFactor:
             random_problem(np.random.default_rng(73)).constraint_set,
         ):
             factor = ops._start_factor
-            ref = sdp._factor(ops._schur(identity_blocks(ops)))
+            ref, retries = sdp._factor(ops._schur(identity_blocks(ops)))
+            assert retries == 0
             assert factor[1] == ref[1]
             assert factor[0].tobytes() == ref[0].tobytes()
             assert not factor[0].flags.writeable
@@ -405,7 +406,9 @@ class TestStartFactor:
             scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
         factor = ops._start_factor
         assert factor is not None
-        assert factor[0].tobytes() == sdp._factor(gram)[0].tobytes()
+        shifted, retries = sdp._factor(gram)
+        assert retries >= 1
+        assert factor[0].tobytes() == shifted[0].tobytes()
         for problem in problems + problems:
             r = sdp.solve(problem)
             assert r.status == sdp.OPTIMAL
@@ -424,6 +427,109 @@ class TestStartFactor:
         assert {r.status for r in refs} == {sdp.OPTIMAL, sdp.INFEASIBLE}
         for k in (0, 1, 0, 1):
             assert_same_solve(sdp.solve(problems[k]), refs[k])
+
+
+class TestStartProjection:
+    """The feasibility stop at iteration 0, on the projection of the start point I
+    onto {A(X) = b} read from ConstraintSet._start_projection."""
+
+    @staticmethod
+    def projection(problem):
+        """I - A*(G^+ (A(I) - b)) from the stacks, with the pseudo-inverse of the Gram matrix."""
+        ops = problem.constraint_set
+        gram = TestSchur.reference(ops, identity_blocks(ops))
+        a_eye = sum(np.einsum("kii->k", s).real for s in ops.stacks)
+        z = np.linalg.pinv(gram) @ (a_eye - problem.b)
+        return [np.eye(d) - blk for d, blk in zip(ops.block_dims, ops.adjoint(z).blocks)]
+
+    @staticmethod
+    def assert_stopped(problem, r):
+        assert r.status == sdp.OPTIMAL
+        assert r.info["stop"] == "start_projection"
+        assert r.info["iterations"] == 0 and len(r.info["trajectory"]) == 1
+        assert r.info["schur_shifts"] == 0
+        assert r.y.tobytes() == np.zeros(problem.constraint_set.m).tobytes()
+        assert r.objective_value == 0.0
+        rep = sdp.verify(problem, r)
+        assert rep.ok, str(rep)
+
+    def test_is_the_projection_from_the_stacks(self):
+        from qmemwit import detect, ising
+
+        problem = detect._Dps2Template((2, 2, 2)).problem(ising.process_matrix(0.0, 0.7, 1.0))
+        ops = problem.constraint_set
+        p_0 = ops._start_projection
+        assert ops._start_projection is p_0
+        assert not any(blk.flags.writeable for blk in p_0)
+        r = sdp.solve(problem)
+        self.assert_stopped(problem, r)
+        for got, ref in zip(r.x.blocks, self.projection(problem)):
+            assert np.max(np.abs(got - ref)) <= 1e-12
+            assert np.linalg.eigvalsh(got)[0] > 0
+
+    def test_feasibility_mode_only(self):
+        # Tr X = 1 projects I to I/3; with an objective the same set iterates
+        n = 3
+        problem = SdpProblem.from_constraints((n,), None, [(eye_bm(n), 1.0)])
+        r = sdp.solve(problem)
+        self.assert_stopped(problem, r)
+        assert np.max(np.abs(r.x.blocks[0] - np.eye(n) / n)) <= 1e-15
+        objective = BlockMatrix([herm(np.random.default_rng(97), n)])
+        with_objective = sdp.solve(SdpProblem(objective, problem.constraint_set, problem.b))
+        assert with_objective.status == sdp.OPTIMAL
+        assert with_objective.info["iterations"] >= 2
+        assert "stop" not in with_objective.info
+
+    def test_projection_that_is_not_pd_iterates(self):
+        # Tr X = 1, Re X_01 = 0.45: the projection I/3 + 0.45 (E_01 + E_10) is
+        # indefinite, while diag(0.49, 0.49, 0.02) + 0.45 (E_01 + E_10) is feasible and PD
+        off = np.zeros((3, 3), dtype=complex)
+        off[0, 1] = off[1, 0] = 0.5
+        problem = SdpProblem.from_constraints(
+            (3,), None, [(eye_bm(3), 1.0), (BlockMatrix([off]), 0.45)]
+        )
+        assert np.linalg.eigvalsh(self.projection(problem)[0])[0] < 0
+        r = sdp.solve(problem)
+        assert r.status == sdp.OPTIMAL
+        assert r.info["iterations"] >= 2 and "stop" not in r.info
+        assert sdp.verify(problem, r).ok
+
+    def test_shifted_start_factor(self):
+        # TestStartFactor's duplicated rows in feasibility mode: G is singular
+        # and the start factor is shifted, so v_dir is only near G^+ b; the
+        # stop still returns the projection diag(1/2, 1/2), checked as any other
+        p = BlockMatrix([np.diag([1.0, 0.0]).astype(complex)])
+        problem = SdpProblem.from_constraints((2,), None, [(p, 0.5), (p, 0.5), (eye_bm(2), 1.0)])
+        ops = problem.constraint_set
+        _, retries = sdp._factor(TestSchur.reference(ops, identity_blocks(ops)))
+        assert retries >= 1
+        r = sdp.solve(problem)
+        self.assert_stopped(problem, r)
+        assert np.max(np.abs(r.x.blocks[0] - np.eye(2) / 2)) <= 1e-12
+
+    def test_schur_shifts_count_the_retries(self, monkeypatch):
+        import scipy.linalg
+
+        from qmemwit import detect, ising
+
+        template = detect._Dps2Template((2, 2, 2))
+        assert template.constraint_set._start_factor is not None
+        failures = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def counted(*args, **kwargs):
+            try:
+                return cho_factor(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                failures.append(1)
+                raise
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        for j, h in ((1.3, 0.0), (1.3, 0.7), (0.0, 0.7)):
+            failures.clear()
+            r = sdp.solve(template.problem(ising.process_matrix(j, h, 1.0)))
+            assert r.info["schur_shifts"] == len(failures)
+            assert (r.info["schur_shifts"] > 0) == (h == 0.0)
 
 
 class TestBlockShifts:
