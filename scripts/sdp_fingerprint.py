@@ -14,10 +14,11 @@ Each entry holds J, h, method, the problem's shape (``block_dims`` and the
 number of constraints ``m``), verdict, solver status, verification outcome,
 iteration count, ``trajectory_sha1`` (the SHA-1 of the float64 bytes of the
 solver's trajectory rows and of its y, so equal digests mean the same
-iteration path), the reported value, for ``witness_sdp`` the SDP optimum
-and, for an infeasible ``dps2`` solve, ``certificate_min_eig``: the least
-eigenvalue of the Farkas certificate's S = -A*(y), as ``sdp.verify`` forms it
-from the constraint stacks (older files hold the solver's own figure, which
+iteration path), ``x_sha1`` (the SHA-1 of the bytes of the result's X
+blocks, None for a result without X), the reported value, for
+``witness_sdp`` the SDP optimum and, for an infeasible ``dps2`` solve,
+``certificate_min_eig``: the least eigenvalue of the Farkas certificate's
+S = -A*(y), as ``sdp.verify`` forms it from the constraint stacks (older files hold the solver's own figure, which
 was the same number) and ``certificate_shifted``: whether the solver's
 shifted stop test produced that certificate (``certificate_shift`` in the
 result's info), and the result's ``stop`` (``start_projection`` for a
@@ -31,11 +32,12 @@ sweep writes.
 another checkout's ``src`` fingerprints that checkout.
 
 The second form matches the entries of A and B by (method, J, h) and prints
-every entry whose verdict, status, verification, iteration count or
-trajectory_sha1 differs, except that a change of problem shape is reported
-once per method and pair of shapes, with its entries, in place of their
-trajectory_sha1 mismatches (files that lack the shape, as older ones do,
-skip that check), the largest difference of value, optimum and
+every entry whose verdict, status, verification, iteration count,
+trajectory_sha1 or x_sha1 differs (files that lack x_sha1, as older ones
+do, read None on both sides), except that a change of problem shape is
+reported once per method and pair of shapes, with its entries, in place of
+their trajectory_sha1 and x_sha1 mismatches (files that lack the shape, as
+older ones do, skip that check), the largest difference of value, optimum and
 certificate_min_eig per method (a field absent from both entries, as in
 older files, is skipped), per method how many values differ when printed
 ``%.12g``, the precision of the sweep CSV, per file how many ``dps2``
@@ -60,7 +62,8 @@ import sys
 import tempfile
 import time
 
-DISCRETE = ("verdict", "solver_status", "verified", "iterations", "trajectory_sha1")
+DISCRETE = ("verdict", "solver_status", "verified", "iterations", "trajectory_sha1", "x_sha1")
+DIGESTS = ("trajectory_sha1", "x_sha1")
 NUMERIC = ("value", "optimum", "certificate_min_eig")
 SWEEP_HASHES = ("sweep_csv_sha1", "sweep_dumps_sha1")
 SHAPE = ("block_dims", "m")
@@ -74,6 +77,15 @@ def _trajectory_sha1(result) -> str:
 
     digest = hashlib.sha1(np.asarray(result.info["trajectory"], dtype=np.float64).tobytes())
     digest.update(np.asarray(result.y, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _x_sha1(result) -> str | None:
+    if result.x is None:
+        return None
+    digest = hashlib.sha1()
+    for block in result.x.blocks:
+        digest.update(block.tobytes())
     return digest.hexdigest()
 
 
@@ -91,6 +103,7 @@ def _record(j: float, h: float, method: str, report) -> dict:
         "verified": bool(diag.get("verified")),
         "iterations": diag.get("iterations"),
         "trajectory_sha1": _trajectory_sha1(result),
+        "x_sha1": _x_sha1(result),
         "value": report.value,
         "optimum": diag.get("optimum"),
         "certificate_min_eig": diag.get("certificate_min_eig"),
@@ -179,9 +192,9 @@ def compare(file_a: dict, file_b: dict, tol: float) -> bool:
         diff = [f for f in DISCRETE if ra.get(f) != rb.get(f)]
         if None not in shapes and shapes[0] != shapes[1]:
             # a problem of another shape takes another path: the shape change,
-            # reported once below, stands for its trajectory_sha1 mismatch
+            # reported once below, stands for its digest mismatches
             reshaped[(k[0], *shapes)].append(k[1:])
-            diff = [f for f in diff if f != "trajectory_sha1"]
+            diff = [f for f in diff if f not in DIGESTS]
         if diff:
             ok = False
             print(f"mismatch {k}: " + ", ".join(f"{f} {ra.get(f)!r} -> {rb.get(f)!r}" for f in diff))

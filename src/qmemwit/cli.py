@@ -98,8 +98,10 @@ class Range:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    j_range: Range
-    h_range: Range
+    """A sweep's settings; its defaults are the command line's."""
+
+    j_range: Range = Range(0.0, 10.0, 151)
+    h_range: Range = Range(0.0, 10.0, 151)
     t: float = 1.0
     methods: tuple[str, ...] = ("ppt",)
     out: str | None = None
@@ -108,6 +110,7 @@ class SweepConfig:
     stride: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "methods", tuple(self.methods))
         if not math.isfinite(self.t):
             raise ValueError("t must be finite")
         if not self.methods:
@@ -493,36 +496,34 @@ def read_config(path: str) -> dict[str, str]:
     return values
 
 
-# the keys a --config file may set, one per sweep flag
-CONFIG_KEYS = ("j_range", "h_range", "t", "method", "out", "workers", "norm", "stride")
+# the keys a --config file may set, one per sweep flag: the SweepConfig field
+# each fills and the parser of its value
+_CONFIG_KEYS = {
+    "j_range": ("j_range", Range.parse),
+    "h_range": ("h_range", Range.parse),
+    "t": ("t", float),
+    "method": ("methods", lambda text: tuple(m.strip() for m in text.split(","))),
+    "out": ("out", str),
+    "workers": ("workers", int),
+    "norm": ("norm", str),
+    "stride": ("stride", int),
+}
 
 
 def _build_sweep_config(args) -> SweepConfig:
+    """The sweep's settings: a flag over its --config key over SweepConfig's default."""
     conf = read_config(args.config) if args.config else {}
-    unknown = sorted(set(conf) - set(CONFIG_KEYS))
+    unknown = sorted(set(conf) - set(_CONFIG_KEYS))
     if unknown:
-        raise ValueError(f"unknown config keys {unknown}; choose from {CONFIG_KEYS}")
-
-    def pick(flag_value, key, parse, default):
-        if flag_value is not None:
-            return flag_value
-        if key in conf:
-            return parse(conf[key])
-        return default
-
-    methods = args.method or (
-        tuple(m.strip() for m in conf["method"].split(",")) if "method" in conf else ("ppt",)
-    )
-    return SweepConfig(
-        j_range=pick(args.j_range, "j_range", Range.parse, Range(0.0, 10.0, 151)),
-        h_range=pick(args.h_range, "h_range", Range.parse, Range(0.0, 10.0, 151)),
-        t=pick(args.t, "t", float, 1.0),
-        methods=tuple(methods),
-        out=pick(args.out, "out", str, None),
-        workers=pick(args.workers, "workers", int, 1),
-        norm=pick(args.norm, "norm", str, "trace"),
-        stride=pick(args.stride, "stride", int, 1),
-    )
+        raise ValueError(f"unknown config keys {unknown}; choose from {tuple(_CONFIG_KEYS)}")
+    settings = {}
+    for key, (name, parse) in _CONFIG_KEYS.items():
+        flag = getattr(args, key)
+        if flag is not None:
+            settings[name] = flag
+        elif key in conf:
+            settings[name] = parse(conf[key])
+    return SweepConfig(**settings)
 
 
 def _finite_float(text: str) -> float:

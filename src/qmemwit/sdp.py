@@ -50,31 +50,34 @@ costs no solve; info["stop"] reads "start_projection".  The test only reads
 the iterate, so a solve that it does not end runs bitwise as without it.
 
 The constraint data has one form: per block, the (m, n_b, n_b) stack of the
-operators A_k (``ConstraintSet``).  ``verify`` and ``ConstraintSet.adjoint``
-read the stacks directly, independently of the sparse matrices the solver
-derives from them and caches.
+operators A_k (``ConstraintSet``).  The solver applies A and A* only through
+the sparse matrices each set derives from its stacks and caches
+(``ConstraintSet._a_of`` and ``_a_adj``); ``verify`` and its dense
+``ConstraintSet.adjoint`` read the stacks directly, as an independent check.
 
 The Schur complement M_kl = <A_k, W A_l W> of each iteration is a sparse
 congruence: for row-major vec and Hermitian W, vec(W A W) = (W kron W^T) vec(A),
 so block b adds Re(S_b (W_b kron W_b^T) S_b^H) to M, where the rows of the
-sparse S_b are vec(conj A_k) for the constraints with data in block b
-(Fujisawa, Kojima and Nakata, Math. Program. 79 (1997), exploit the same
-sparsity).  The first product u = S_b (W_b kron W_b^T) is complex; the second
-is real, R_b [Re u^T; Im u^T] with R_b = [Re A | -Im A] on the same rows,
-since only the real part of conj(S_b) u^T enters M.  M, W kron W^T and
-[Re u^T; Im u^T] live in a workspace that each ``ConstraintSet`` allocates
-once; only the two products' results are allocated per block.  The M that
-``ConstraintSet._schur`` returns is that workspace, valid until the set's
-next assembly.
+sparse S_b are vec(conj A_k) for the constraints from the first to the last
+with data in block b (Fujisawa, Kojima and Nakata, Math. Program. 79
+(1997), exploit the same sparsity).  The first product u = S_b (W_b kron
+W_b^T) is complex; the second is real, R_b [Re u^T; Im u^T] with R_b =
+[Re A | -Im A] on the same rows, since only the real part of conj(S_b) u^T
+enters M.  M, W kron W^T and [Re u^T; Im u^T] live in a workspace that
+each ``ConstraintSet`` allocates once per thread; only the two products'
+results are allocated per block.  The M that ``ConstraintSet._schur``
+returns is the calling thread's workspace, valid until that thread's next
+assembly on the set.
 
 The module keeps no state between solves but what each ``ConstraintSet``
-caches: that workspace, the block shifts, P_0 and one factor.  Every solve
-starts at X = S = I, where the Nesterov-Todd scaling is W = I and M is the
-Gram matrix Re(A A^H) of the constraints, so the Cholesky factor of that M is
-computed once and shared by every problem built on the set.  Each result
-explains itself in ``info``: the iteration count, the per-iteration
-trajectory of (iteration, mu, primal residual, dual residual, gap, tau,
-kappa), the diagonal-shift retries of the Schur factorizations of
+caches: that per-thread workspace and, read-only, the sparse matrices, the
+block shifts, P_0 and one factor, so threads may solve on one set at once.
+Every solve starts at X = S = I, where the Nesterov-Todd scaling is W = I
+and M is the Gram matrix Re(A A^H) of the constraints, so the Cholesky
+factor of that M is computed once and shared by every problem built on the
+set.  Each result explains itself in ``info``: the iteration count, the
+per-iteration trajectory of (iteration, mu, primal residual, dual residual,
+gap, tau, kappa), the diagonal-shift retries of the Schur factorizations of
 iterations 1 and later (``schur_shifts``; the start factor belongs to the
 set), the ``stop`` of a solve that ended at its start projection and the
 reason for any failure.
@@ -85,6 +88,7 @@ writes them per grid point.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -173,12 +177,12 @@ class ConstraintSet:
     sparse matrices the solver applies them with, the Cholesky factor of
     the Schur complement at the solver's starting point, the constant part
     of the start point's projection and the block shifts of the Farkas stop
-    test, each computed once and cached.  So is the Schur workspace: the
-    (m, m) M, one W kron W^T per block side and one real buffer for the
-    second product.  ``_schur`` returns M itself, overwritten
-    by the next ``_schur`` on the set; its consumer ``_factor`` copies it.
-    A set is used by one thread at a time, and the sweep's worker processes
-    each hold their own.
+    test, each computed once, cached and never written again.  The Schur
+    workspace is per thread: the (m, m) M, one W kron W^T per block side and
+    one real buffer for the second product.  ``_schur`` returns M itself,
+    overwritten by the same thread's next ``_schur`` on the set; its
+    consumer ``_factor`` copies it.  So threads may solve problems on one set
+    at once, and the sweep's worker processes each hold their own sets.
     """
 
     def __init__(self, block_dims: Sequence[int], stacks: Sequence[np.ndarray]):
@@ -196,9 +200,12 @@ class ConstraintSet:
                 raise ValueError("constraint operator is not Hermitian within tolerance")
         self.stacks = tuple(stacks)
         self.m = m
+        self._splits = np.cumsum([d * d for d in self.block_dims])[:-1]
+        self._local = threading.local()
 
     def adjoint(self, y: np.ndarray) -> BlockMatrix:
-        """A*(y) = sum_k y_k A_k, one tensordot of y with each stack."""
+        """A*(y) = sum_k y_k A_k, one tensordot of y with each stack: the dense
+        map that ``verify`` checks results with, independent of ``_a_adj``."""
         return BlockMatrix(
             [np.tensordot(y, s, axes=(0, 0)) for s in self.stacks], require_hermitian=False
         )
@@ -212,14 +219,31 @@ class ConstraintSet:
         return scipy.sparse.csr_matrix(flat.conj())
 
     @cached_property
+    def _conj_csr_t(self):
+        """``_conj_csr`` transposed once: each .T builds a new matrix."""
+        return self._conj_csr.T
+
+    def _a_of(self, blocks) -> np.ndarray:
+        """A(X) = (<A_k, X>)_k of the blocks of X, through the sparse rows."""
+        vec = np.concatenate([blk.reshape(-1) for blk in blocks])
+        return self._conj_csr.dot(vec).real
+
+    def _a_adj(self, y: np.ndarray) -> list:
+        """The Hermitian parts of the blocks of A*(y), through the sparse transpose."""
+        parts = np.split(self._conj_csr_t.dot(y).conj(), self._splits)
+        return [_sym(p.reshape(d, d)) for p, d in zip(parts, self.block_dims)]
+
+    @cached_property
     def _block_csr(self) -> tuple:
         """Per block with data: (block, index, S_b, R_b) for the Schur complement.
 
-        S_b holds the rows vec(conj A_k) of block b for the constraints k with
-        data in that block, and R_b the same rows as [Re vec A_k | -Im vec A_k],
-        so that Re(conj(S_b) u^T) = R_b [Re u^T; Im u^T]; index addresses those
-        rows and columns of an (m, m) matrix, a slice pair when they are
-        contiguous, np.ix_ otherwise.
+        The span of block b runs from the first to the last constraint with
+        data in that block.  S_b holds the rows vec(conj A_k) of block b for
+        the constraints k in the span, and R_b the same rows as
+        [Re vec A_k | -Im vec A_k], so that Re(conj(S_b) u^T) =
+        R_b [Re u^T; Im u^T]; index = (span, span) addresses those rows and
+        columns of an (m, m) matrix.  A row without data in the block only
+        adds zeros.
         """
         out = []
         for i, (s, d) in enumerate(zip(self.stacks, self.block_dims)):
@@ -227,34 +251,35 @@ class ConstraintSet:
             rows = np.flatnonzero(np.any(flat != 0, axis=1))
             if rows.size == 0:
                 continue
-            if rows[-1] - rows[0] + 1 == rows.size:
-                span = slice(int(rows[0]), int(rows[-1]) + 1)
-                index = (span, span)
-            else:
-                index = np.ix_(rows, rows)
-            a = flat[rows]
+            span = slice(int(rows[0]), int(rows[-1]) + 1)
+            a = flat[span]
             s_b = scipy.sparse.csr_matrix(a.conj())
             r_b = scipy.sparse.csr_matrix(np.concatenate([a.real, -a.imag], axis=1))
-            out.append((i, index, s_b, r_b))
+            out.append((i, (span, span), s_b, r_b))
         return tuple(out)
 
-    @cached_property
+    @property
     def _workspace(self) -> tuple:
-        """The buffers ``_schur`` writes: M, one W kron W^T per block side, and
-        a flat real buffer that each block reads a prefix of as [Re u^T; Im u^T]."""
-        sides = {self.block_dims[i] for i, *_ in self._block_csr}
-        krons = {d: np.empty((d * d, d * d), dtype=complex) for d in sides}
-        size = max(
-            (2 * s_b.shape[1] * s_b.shape[0] for _, _, s_b, _ in self._block_csr), default=0
-        )
-        return np.empty((self.m, self.m)), krons, np.empty(size)
+        """The calling thread's buffers for ``_schur``, allocated on its first
+        assembly: M, one W kron W^T per block side, and a flat real buffer that
+        each block reads a prefix of as [Re u^T; Im u^T]."""
+        buffers = getattr(self._local, "buffers", None)
+        if buffers is None:
+            sides = {self.block_dims[i] for i, *_ in self._block_csr}
+            krons = {d: np.empty((d * d, d * d), dtype=complex) for d in sides}
+            size = max(
+                (2 * s_b.shape[1] * s_b.shape[0] for _, _, s_b, _ in self._block_csr), default=0
+            )
+            buffers = self._local.buffers = (np.empty((self.m, self.m)), krons, np.empty(size))
+        return buffers
 
     def _schur(self, ws) -> np.ndarray:
         """M_kl = <A_k, W A_l W> for the per-block scalings ws, summed over
         blocks as Re(S_b (W kron W^T) S_b^H).
 
-        Returns the set's workspace: the matrix is valid until the next
-        ``_schur`` call on this set, and a caller that holds it longer copies it.
+        Returns the calling thread's workspace: the matrix is valid until that
+        thread's next ``_schur`` call on this set, and a caller that holds it
+        longer copies it.
         """
         big_m, krons, flat = self._workspace
         big_m.fill(0.0)
@@ -303,7 +328,7 @@ class ConstraintSet:
             return None
         a_eye = sum(np.einsum("kii->k", s).real for s in self.stacks)
         z = scipy.linalg.cho_solve(factor, a_eye, check_finite=False)
-        blocks = tuple(np.eye(d) - _sym(a) for d, a in zip(self.block_dims, self.adjoint(z).blocks))
+        blocks = tuple(np.eye(d) - a for d, a in zip(self.block_dims, self._a_adj(z)))
         for blk in blocks:
             blk.setflags(write=False)
         return blocks
@@ -317,23 +342,17 @@ class ConstraintSet:
         S_b = -A*(y_b) is PSD on every block (to HERM_TOL sigma_b) and
         sigma_b = lambda_min(S_b on block b) > 0: adding t y_b to a y then
         raises block b of -A*(y) by at least t sigma_b and lowers no block
-        (Weyl's inequality).  A*(y_b) goes through the sparse ``_conj_csr``.
+        (Weyl's inequality).
         """
         factor = self._start_factor
         if factor is None or self.m == 0:
             return ()
-        dims = self.block_dims
         # column b is A(E_b): the traces of the constraints' block-b parts
         a_eyes = np.stack([np.einsum("kii->k", s).real for s in self.stacks], axis=1)
         ys = -scipy.linalg.cho_solve(factor, a_eyes, check_finite=False)
-        s_flat = -self._conj_csr.T.dot(ys).conj()
-        splits = np.cumsum([d * d for d in dims])[:-1]
         shifts = []
-        for b in range(len(dims)):
-            parts = np.split(s_flat[:, b], splits)
-            lams = [
-                float(np.linalg.eigvalsh(_sym(p.reshape(d, d)))[0]) for p, d in zip(parts, dims)
-            ]
+        for b in range(len(self.block_dims)):
+            lams = [float(np.linalg.eigvalsh(-blk)[0]) for blk in self._a_adj(ys[:, b])]
             sigma = lams[b]
             if sigma > 0 and min(lams) >= -HERM_TOL * sigma:
                 y_b = np.ascontiguousarray(ys[:, b])
@@ -458,25 +477,13 @@ class _Core:
     """One homogeneous self-dual solve on complex Hermitian blocks."""
 
     def __init__(self, c_blocks, constraint_set, b, feasibility=False):
-        self.dims = dims = constraint_set.block_dims
+        self.dims = constraint_set.block_dims
         self.c = c_blocks
         self.feasibility = feasibility         # no objective: C = 0
         self.ops = constraint_set
-        self.asp = constraint_set._conj_csr    # (m, sum n^2), rows vec(conj A_k)
-        self.asp_t = self.asp.T                # taken once: each .T builds a new matrix
         self.b = b
         self.m = len(b)
-        self.n_total = sum(dims)
-        self.splits = np.cumsum([d * d for d in dims])[:-1]
-
-    def a_of(self, blocks) -> np.ndarray:
-        vec = np.concatenate([blk.reshape(-1) for blk in blocks])
-        return self.asp.dot(vec).real
-
-    def a_adj(self, y: np.ndarray):
-        vec = self.asp_t.dot(y).conj()
-        parts = np.split(vec, self.splits)
-        return [_sym(p.reshape(d, d)) for p, d in zip(parts, self.dims)]
+        self.n_total = sum(self.dims)
 
     def solve(self, max_iterations=MAX_ITERATIONS):
         dims = self.dims
@@ -498,8 +505,8 @@ class _Core:
         for it in range(max_iterations):
             info["iterations"] = it
             # residuals of the self-dual system
-            ax = self.a_of(x)
-            aty = self.a_adj(y)
+            ax = self.ops._a_of(x)
+            aty = self.ops._a_adj(y)
             r_p = b * tau - ax
             r_d = [c[i] * tau - aty[i] - s[i] for i in range(len(dims))]
             cx = sum(_dot(c[i], x[i]) for i in range(len(dims)))
@@ -563,10 +570,10 @@ class _Core:
             with np.errstate(**_QUIET):
                 # Schur complement pieces shared by both passes
                 wcw = [_sym(ws[i] @ c[i] @ ws[i]) for i in range(len(dims))]
-                g_vec = self.a_of(wcw)
+                g_vec = self.ops._a_of(wcw)
                 h_cc = sum(_dot(c[i], wcw[i]) for i in range(len(dims)))
                 wrdw = [_sym(ws[i] @ r_d[i] @ ws[i]) for i in range(len(dims))]
-                a_wrdw = self.a_of(wrdw)
+                a_wrdw = self.ops._a_of(wrdw)
                 v_dir = self._solve_factored(factor, g_vec + b)
                 c_wrdw = sum(_dot(c[i], wrdw[i]) for i in range(len(dims)))
                 b_g = b - g_vec
@@ -580,14 +587,14 @@ class _Core:
                     return (OPTIMAL, None, info, (x_p, np.zeros(self.m)))
 
             def newton(eta, rc, rhs_tk):
-                a_rc = self.a_of(rc)
+                a_rc = self.ops._a_of(rc)
                 c_rc = sum(_dot(c[i], rc[i]) for i in range(len(dims)))
                 rhs_p = eta * r_p - a_rc + eta * a_wrdw
                 u = self._solve_factored(factor, rhs_p)
                 rhs_g2 = eta * r_g + c_rc - eta * c_wrdw + rhs_tk / tau
                 d_tau = (rhs_g2 - float(b_g @ u)) / denom
                 d_y = u + v_dir * d_tau
-                at_dy = self.a_adj(d_y)
+                at_dy = self.ops._a_adj(d_y)
                 d_s = [eta * r_d[i] - at_dy[i] + c[i] * d_tau for i in range(len(dims))]
                 d_x = [_sym(rc[i] - ws[i] @ d_s[i] @ ws[i]) for i in range(len(dims))]
                 d_kappa = (rhs_tk - kappa * d_tau) / tau
@@ -680,13 +687,13 @@ class _Core:
         if p_0 is None:
             return None
         with np.errstate(**_QUIET):
-            x_p = [p + d for p, d in zip(p_0, self.a_adj(v_dir))]
+            x_p = [p + d for p, d in zip(p_0, self.ops._a_adj(v_dir))]
             try:
                 for blk in x_p:
                     np.linalg.cholesky(blk)
             except np.linalg.LinAlgError:
                 return None
-            pres = np.linalg.norm(self.a_of(x_p) - self.b) / (1.0 + np.linalg.norm(self.b))
+            pres = np.linalg.norm(self.ops._a_of(x_p) - self.b) / (1.0 + np.linalg.norm(self.b))
         return x_p if pres <= 0.1 * FEAS_TOL else None
 
     def _solve_factored(self, factor, rhs):
@@ -714,7 +721,7 @@ class _Core:
         if by <= 0:
             return None
         y_hat = y / by
-        s_hat = [-blk for blk in self.a_adj(y_hat)]
+        s_hat = [-blk for blk in self.ops._a_adj(y_hat)]
         lams = [float(np.linalg.eigvalsh(blk)[0]) for blk in s_hat]
         lam = min(lams)
         norm = max(float(np.max(np.abs(blk))) for blk in s_hat)
@@ -735,7 +742,7 @@ class _Core:
         y_shift /= by_shift
         if abs(float(self.b @ y_shift) - 1.0) > SHIFT_NORM_TOL:
             return None
-        if min(float(np.linalg.eigvalsh(-blk)[0]) for blk in self.a_adj(y_shift)) < 0:
+        if min(float(np.linalg.eigvalsh(-blk)[0]) for blk in self.ops._a_adj(y_shift)) < 0:
             return None
         info["certificate_shift"] = t
         return y_shift

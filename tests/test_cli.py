@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -404,6 +404,51 @@ class TestConfigFile:
                 cli.main(argv)
             assert exc.value.code == 2
             assert "No such file" in capsys.readouterr().err
+
+    # key, its text in the file and the value it sets; a flag and the value it sets
+    KEYS = [
+        ("j_range", "0:2:1", cli.Range(0.0, 2.0, 3),
+         ["--j-range", "1:1:1"], cli.Range(1.0, 1.0, 1)),
+        ("h_range", "1:3:0.5", cli.Range(1.0, 3.0, 5),
+         ["--h-range", "0:4:2"], cli.Range(0.0, 4.0, 3)),
+        ("t", "0.5", 0.5, ["--t", "2"], 2.0),
+        ("method", "ppt, markov_distance", ("ppt", "markov_distance"),
+         ["--method", "dps2", "--method", "ppt"], ("dps2", "ppt")),
+        ("out", "file.csv", "file.csv", ["--out", "flag.csv"], "flag.csv"),
+        ("workers", "2", 2, ["--workers", "3"], 3),
+        ("norm", "frobenius", "frobenius", ["--norm", "trace"], "trace"),
+        ("stride", "2", 2, ["--stride", "3"], 3),
+    ]
+
+    @staticmethod
+    def config_of(monkeypatch, argv) -> cli.SweepConfig:
+        """The SweepConfig that ``qmemwit sweep argv`` would sweep."""
+        seen = []
+        monkeypatch.setattr(cli, "sweep", lambda config, dump_dir=None: seen.append(config) or [])
+        assert cli.main(["sweep", *argv]) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("key, text, value, flag, flag_value", KEYS, ids=[k[0] for k in KEYS])
+    def test_each_key_reaches_the_config_and_its_flag_overrides_it(
+        self, tmp_path, monkeypatch, key, text, value, flag, flag_value
+    ):
+        monkeypatch.chdir(tmp_path)
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(f"{key} = {text}\n")
+        name = "methods" if key == "method" else key
+        default = cli.SweepConfig()
+        assert self.config_of(monkeypatch, ["--config", str(conf)]) == replace(
+            default, **{name: value}
+        )
+        assert self.config_of(monkeypatch, ["--config", str(conf), *flag]) == replace(
+            default, **{name: flag_value}
+        )
+
+    def test_defaults_are_the_sweep_configs(self, monkeypatch, capsys):
+        config = self.config_of(monkeypatch, [])
+        assert config == cli.SweepConfig()
+        assert config.j_range == config.h_range == cli.Range(0.0, 10.0, 151)
+        assert capsys.readouterr().out == cli.CSV_HEADER + "\n"
 
     def test_malformed_config(self, tmp_path):
         conf = tmp_path / "bad.conf"

@@ -275,7 +275,8 @@ class TestSchur:
         ops = sdp.ConstraintSet(dims, stacks)
         indices = {i: index for i, index, *_ in ops._block_csr}
         assert isinstance(indices[0][0], slice)
-        assert not isinstance(indices[1][0], slice)
+        # rows 1, 3 and 4 lie inside block 1's span and add zeros
+        assert indices[1] == (slice(0, 7), slice(0, 7))
         assert indices[2] == (slice(5, 7), slice(5, 7))
         self.assert_matches(ops, 47)
 
@@ -599,13 +600,12 @@ class TestBlockShifts:
 
 
 class TestAdjoint:
-    """ConstraintSet.adjoint, read from the stacks, against _Core.a_adj, the CSR path."""
+    """ConstraintSet.adjoint, read from the stacks, against ConstraintSet._a_adj, the CSR path."""
 
     @staticmethod
     def assert_matches(ops, seed):
         y = np.random.default_rng(seed).standard_normal(ops.m)
-        c = [np.zeros((d, d), dtype=complex) for d in ops.block_dims]
-        ref = sdp._Core(c, ops, np.zeros(ops.m)).a_adj(y)
+        ref = ops._a_adj(y)
         got = ops.adjoint(y).blocks
         scale = max(np.max(np.abs(r)) for r in ref)
         assert scale > 0
@@ -622,6 +622,28 @@ class TestAdjoint:
         assert not np.any(ops.stacks[2])
         self.assert_matches(ops, 71)
         assert not np.any(ops.adjoint(np.ones(ops.m)).blocks[2])
+
+    @pytest.mark.parametrize("case", ["dps2_template", "rows_not_contiguous"])
+    def test_sparse_maps_are_adjoint(self, case):
+        # <A(X), y> = <X, A*(y)> for Hermitian X, both through the set's CSR maps
+        from qmemwit import detect
+
+        rng = np.random.default_rng(73)
+        if case == "dps2_template":
+            ops = detect._dps2_template((2, 2, 2)).constraint_set
+        else:
+            dims, m = (3, 4, 2), 7
+            stacks = [np.stack([herm(rng, d) for _ in range(m)]) for d in dims]
+            stacks[1][[1, 3, 4]] = 0.0      # block 1 carries rows 0, 2, 5 and 6
+            stacks[2][:] = 0.0              # block 2 carries none
+            ops = sdp.ConstraintSet(dims, stacks)
+            assert not np.any(ops._a_adj(np.ones(ops.m))[2])
+        x = [herm(rng, d) for d in ops.block_dims]
+        y = rng.standard_normal(ops.m)
+        ax = ops._a_of(x)
+        lhs = float(ax @ y)
+        rhs = sum(sdp._dot(xb, ab) for xb, ab in zip(x, ops._a_adj(y)))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
 
 
 class TestEigOracle:
