@@ -125,6 +125,8 @@ def witness_sdp(
     optimum restricted to P Z P = Z (Gatermann and Parrilo, J. Pure Appl.
     Algebra 192 (2004)).  The returned witness is Z^{T_{A_I}} for the average
     of the optimizer.  Without the symmetry P = I, and averaging changes no bit.
+    Without restrictions the problem's constraint set is Tr Z = 1 alone,
+    shared by every call of that dimension (the average of I is I).
     """
     m = tl.partial_transpose(w.op, {A_I})
     dim = m.space.total_dim
@@ -133,12 +135,15 @@ def witness_sdp(
     def avg(a: np.ndarray) -> np.ndarray:
         return (a + a[perm][:, perm]) / 2
 
-    cons: list[tuple[sdp.BlockMatrix, float]] = [
-        (sdp.BlockMatrix([np.eye(dim, dtype=complex)]), 1.0)
-    ]
-    for a_op, b_val in constraints or []:
-        cons.append((sdp.BlockMatrix([avg(tl.reorder(a_op, w.op.labels).mat)]), float(b_val)))
-    problem = sdp.SdpProblem.from_constraints((dim,), sdp.BlockMatrix([avg(m.mat)]), cons)
+    objective = sdp.BlockMatrix([avg(m.mat)])
+    if constraints:
+        cons = [(sdp.BlockMatrix([np.eye(dim, dtype=complex)]), 1.0)] + [
+            (sdp.BlockMatrix([avg(tl.reorder(a_op, w.op.labels).mat)]), float(b_val))
+            for a_op, b_val in constraints
+        ]
+        problem = sdp.SdpProblem.from_constraints((dim,), objective, cons)
+    else:
+        problem = sdp.SdpProblem(objective, _trace_constraint_set(dim), np.ones(1))
     result, diagnostics = _solve_verified(problem)
     run = (problem, result)
     if result.status != sdp.OPTIMAL or not diagnostics["verified"]:
@@ -152,6 +157,12 @@ def witness_sdp(
     if value < -tol:
         return WitnessReport(METHOD_PPT_SDP, VERDICT_QUANTUM, value, z, diagnostics, run)
     return WitnessReport(METHOD_PPT_SDP, VERDICT_INCONCLUSIVE, value, None, diagnostics, run)
+
+
+@lru_cache(maxsize=4)
+def _trace_constraint_set(dim: int) -> sdp.ConstraintSet:
+    """The constraint Tr Z = 1 on one block of side dim, with its solver caches."""
+    return sdp.ConstraintSet((dim,), [np.eye(dim, dtype=complex)[None]])
 
 
 def _solve_verified(problem: sdp.SdpProblem) -> tuple[sdp.SdpResult, dict]:

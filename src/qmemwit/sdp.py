@@ -17,8 +17,11 @@ the SVD R^H L = U diag(lv) V^H: G = L V diag(lv)^-1/2 gives W = G G^H, and
 the scaled point G^-1 X G^-H = G^H S G = diag(lv) is diagonal.  So the
 corrector's Lyapunov solve is an entrywise division by (lv_i + lv_j)/2, and
 the step bound of X along dX is -1/lambda_min(diag(lv)^-1/2 H diag(lv)^-1/2)
-with H = G^-1 dX G^-H, that of S the same with H = G^H dS G.  An iterate
-whose X or S has no Cholesky factor ends the iteration with that reason.
+with H = G^-1 dX G^-H, that of S the same with H = G^H dS G, each read for
+all blocks of one side in one eigvalsh call.  An iterate whose X or S has
+no Cholesky factor ends the iteration with that reason.  Each iteration
+makes two solves with its Schur factor: one two-column solve for v_dir and
+the predictor's right-hand side, then the corrector's.
 
 An infeasible solve stops at the first iteration whose y yields a
 certificate.  The plain test normalizes y to y_hat = y / b.y.  When S =
@@ -52,8 +55,10 @@ the iterate, so a solve that it does not end runs bitwise as without it.
 The constraint data has one form: per block, the (m, n_b, n_b) stack of the
 operators A_k (``ConstraintSet``).  The solver applies A and A* only through
 the sparse matrices each set derives from its stacks and caches
-(``ConstraintSet._a_of`` and ``_a_adj``); ``verify`` and its dense
-``ConstraintSet.adjoint`` read the stacks directly, as an independent check.
+(``ConstraintSet._a_of`` and ``_a_adj``).  ``verify`` checks with
+``ConstraintSet.apply`` and ``adjoint`` instead, an independent path that sums
+over each stack's nonzero entries (k, i, j, value) with ``np.bincount``; the
+set caches those entries (``_entries``), and ``problem_to_json`` writes them.
 
 The Schur complement M_kl = <A_k, W A_l W> of each iteration is a sparse
 congruence: for row-major vec and Hermitian W, vec(W A W) = (W kron W^T) vec(A),
@@ -71,19 +76,20 @@ assembly on the set.
 
 The module keeps no state between solves but what each ``ConstraintSet``
 caches: that per-thread workspace and, read-only, the sparse matrices, the
-block shifts, P_0 and one factor, so threads may solve on one set at once.
-Every solve starts at X = S = I, where the Nesterov-Todd scaling is W = I
-and M is the Gram matrix Re(A A^H) of the constraints, so the Cholesky
-factor of that M is computed once and shared by every problem built on the
-set.  Each result explains itself in ``info``: the iteration count, the
-per-iteration trajectory of (iteration, mu, primal residual, dual residual,
-gap, tau, kappa), the diagonal-shift retries of the Schur factorizations of
-iterations 1 and later (``schur_shifts``; the start factor belongs to the
-set), the ``stop`` of a solve that ended at its start projection and the
-reason for any failure.
-``problem_to_json`` and ``result_to_json`` serialize one solve, each
-constraint stack as its nonzero entries; the command line's ``--dump-sdp``
-writes them per grid point.
+nonzero entries, the block shifts, P_0, the start state and one factor, so
+threads may solve on one set at once.  Every solve starts at X = S = I and
+y = 0, where the Nesterov-Todd scaling is W = I and M is the Gram matrix
+Re(A A^H) of the constraints, so the Cholesky factor of that M is computed
+once and shared by every problem built on the set, and so are A(I), A*(0)
+and the scaling of (I, I) (``ConstraintSet._start_state``).  Each result
+explains itself in ``info``: the iteration count, the per-iteration
+trajectory of (iteration, mu, primal residual, dual residual, gap, tau,
+kappa), the diagonal-shift retries of the Schur factorizations of iterations
+1 and later (``schur_shifts``; the start factor belongs to the set), the
+``stop`` of a solve that ended at its start projection and the reason for
+any failure.  ``problem_to_json`` and ``result_to_json`` serialize one solve,
+each constraint stack as its cached nonzero entries; the command line's
+``--dump-sdp`` writes them per grid point.
 """
 
 from __future__ import annotations
@@ -166,7 +172,7 @@ class BlockMatrix:
 
     @staticmethod
     def zeros(dims: Sequence[int]) -> "BlockMatrix":
-        return BlockMatrix([np.zeros((d, d), dtype=complex) for d in dims])
+        return BlockMatrix([np.zeros((d, d), dtype=complex) for d in dims], require_hermitian=False)
 
 
 class ConstraintSet:
@@ -174,15 +180,16 @@ class ConstraintSet:
 
     The stacks (one (m, n_b, n_b) complex array per block) are shared between
     problems that differ only in their right-hand sides, and so are the
-    sparse matrices the solver applies them with, the Cholesky factor of
-    the Schur complement at the solver's starting point, the constant part
-    of the start point's projection and the block shifts of the Farkas stop
-    test, each computed once, cached and never written again.  The Schur
-    workspace is per thread: the (m, m) M, one W kron W^T per block side and
-    one real buffer for the second product.  ``_schur`` returns M itself,
-    overwritten by the same thread's next ``_schur`` on the set; its
-    consumer ``_factor`` copies it.  So threads may solve problems on one set
-    at once, and the sweep's worker processes each hold their own sets.
+    sparse matrices the solver applies them with, their nonzero entries,
+    the solver's start state and the Cholesky factor of the Schur
+    complement there, the constant part of the start point's projection and
+    the block shifts of the Farkas stop test, each computed once, cached and
+    never written again.  The Schur workspace is per thread: the (m, m) M,
+    one W kron W^T per block side and one real buffer for the second
+    product.  ``_schur`` returns M itself, overwritten by the same thread's
+    next ``_schur`` on the set; its consumer ``_factor`` copies it.  So
+    threads may solve problems on one set at once, and the sweep's worker
+    processes each hold their own sets.
     """
 
     def __init__(self, block_dims: Sequence[int], stacks: Sequence[np.ndarray]):
@@ -203,12 +210,40 @@ class ConstraintSet:
         self._splits = np.cumsum([d * d for d in self.block_dims])[:-1]
         self._local = threading.local()
 
-    def adjoint(self, y: np.ndarray) -> BlockMatrix:
-        """A*(y) = sum_k y_k A_k, one tensordot of y with each stack: the dense
-        map that ``verify`` checks results with, independent of ``_a_adj``."""
-        return BlockMatrix(
-            [np.tensordot(y, s, axes=(0, 0)) for s in self.stacks], require_hermitian=False
+    @cached_property
+    def _entries(self) -> tuple:
+        """Per block, the stack's nonzero entries (k, i, j, value) in row-major
+        order, read-only: A_k[i, j] = value.  ``apply``, ``adjoint`` and
+        ``problem_to_json`` read the stacks in this form."""
+        out = []
+        for stack in self.stacks:
+            k, i, j = np.nonzero(stack)
+            entries = (k, i, j, stack[k, i, j])
+            for a in entries:
+                a.setflags(write=False)
+            out.append(entries)
+        return tuple(out)
+
+    def apply(self, x: BlockMatrix) -> np.ndarray:
+        """A(X) = (Re <A_k, X>)_k, summed per k over the nonzero entries of each
+        stack: the map that ``verify`` checks results with, independent of ``_a_of``."""
+        return sum(
+            np.bincount(k, weights=(v * xb[i, j].conj()).real, minlength=self.m)
+            for (k, i, j, v), xb in zip(self._entries, x.blocks)
         )
+
+    def adjoint(self, y: np.ndarray) -> BlockMatrix:
+        """A*(y) = sum_k y_k A_k, summed per entry (i, j) over the nonzero entries
+        of each stack: the map that ``verify`` checks results with, independent
+        of ``_a_adj``."""
+        blocks = []
+        for (k, i, j, v), d in zip(self._entries, self.block_dims):
+            flat, yk = i * d + j, y[k]
+            blk = np.empty(d * d, dtype=complex)
+            blk.real = np.bincount(flat, weights=yk * v.real, minlength=d * d)
+            blk.imag = np.bincount(flat, weights=yk * v.imag, minlength=d * d)
+            blocks.append(blk.reshape(d, d))
+        return BlockMatrix(blocks, require_hermitian=False)
 
     @cached_property
     def _conj_csr(self) -> scipy.sparse.csr_matrix:
@@ -314,6 +349,24 @@ class ConstraintSet:
         if factor is not None:
             factor[0].setflags(write=False)
         return factor
+
+    @cached_property
+    def _start_state(self) -> tuple:
+        """(A(I), A*(0), (W, G, G^-1, lv) per block) at x = s = I, y = 0, read-only.
+
+        Every solve starts there, so iteration 0 reads its primal and dual
+        maps and its Nesterov-Todd scaling, W = G = G^-1 = I with lv = 1,
+        from this cache instead of recomputing them.
+        """
+        eyes = [np.eye(d, dtype=complex) for d in self.block_dims]
+        state = (
+            self._a_of(eyes),
+            tuple(self._a_adj(np.zeros(self.m))),
+            tuple(zip(*[_nt_scaling(e, e) for e in eyes])),
+        )
+        for a in (state[0], *state[1], *(a for part in state[2] for a in part)):
+            a.setflags(write=False)
+        return state
 
     @cached_property
     def _start_projection(self):
@@ -442,9 +495,11 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
 
 
 def _scaled_step(lv: np.ndarray, h_hat: np.ndarray) -> float:
-    """Largest alpha with diag(lv) + alpha h_hat >= 0, h_hat a scaled dX or dS."""
+    """Largest alpha with diag(lv) + alpha h_hat >= 0, h_hat a scaled dX or dS;
+    for stacks lv (n, d) and h_hat (n, d, d), the least over the n blocks, from
+    one eigvalsh call."""
     r = 1.0 / np.sqrt(lv)
-    lam = float(np.linalg.eigvalsh(h_hat * r[:, None] * r[None, :])[0])
+    lam = float(np.linalg.eigvalsh(h_hat * r[..., :, None] * r[..., None, :])[..., 0].min())
     return np.inf if lam >= 0 else -1.0 / lam
 
 
@@ -484,6 +539,8 @@ class _Core:
         self.b = b
         self.m = len(b)
         self.n_total = sum(self.dims)
+        # the blocks of each side, whose step bounds share one stacked eigvalsh
+        self.sides = [[i for i, e in enumerate(self.dims) if e == d] for d in set(self.dims)]
 
     def solve(self, max_iterations=MAX_ITERATIONS):
         dims = self.dims
@@ -504,9 +561,12 @@ class _Core:
 
         for it in range(max_iterations):
             info["iterations"] = it
-            # residuals of the self-dual system
-            ax = self.ops._a_of(x)
-            aty = self.ops._a_adj(y)
+            # residuals of the self-dual system; x = s = I and y = 0 at iteration 0
+            if it == 0:
+                ax, aty, start_scaling = self.ops._start_state
+            else:
+                ax = self.ops._a_of(x)
+                aty = self.ops._a_adj(y)
             r_p = b * tau - ax
             r_d = [c[i] * tau - aty[i] - s[i] for i in range(len(dims))]
             cx = sum(_dot(c[i], x[i]) for i in range(len(dims)))
@@ -552,16 +612,16 @@ class _Core:
                 return (FAILURE, None, info, best)
 
             # Nesterov-Todd scaling per block
-            try:
-                ws, gs, g_invs, lvs = zip(*[_nt_scaling(x[i], s[i]) for i in range(len(dims))])
-            except np.linalg.LinAlgError:
-                info["reason"] = "iterate has no Cholesky factor"
-                break
-
             if it == 0:
-                # x = s = I, so W = I: the set's cached start factor
+                # x = s = I, so W = I: the set's cached scaling and start factor
+                ws, gs, g_invs, lvs = start_scaling
                 factor = self.ops._start_factor
             else:
+                try:
+                    ws, gs, g_invs, lvs = zip(*[_nt_scaling(x[i], s[i]) for i in range(len(dims))])
+                except np.linalg.LinAlgError:
+                    info["reason"] = "iterate has no Cholesky factor"
+                    break
                 factor, retries = _factor(self.ops._schur(ws))
                 info["schur_shifts"] += retries
             if factor is None:
@@ -574,7 +634,15 @@ class _Core:
                 h_cc = sum(_dot(c[i], wcw[i]) for i in range(len(dims)))
                 wrdw = [_sym(ws[i] @ r_d[i] @ ws[i]) for i in range(len(dims))]
                 a_wrdw = self.ops._a_of(wrdw)
-                v_dir = self._solve_factored(factor, g_vec + b)
+
+                def rhs_primal(eta, rc):
+                    """The right-hand side of one pass's Schur system M u = rhs."""
+                    return eta * r_p - self.ops._a_of(rc) + eta * a_wrdw
+
+                # v_dir and the predictor's u (eta = 1, rc = -X) in one two-column solve
+                rc_aff = [-x[i] for i in range(len(dims))]
+                rhs_aff = rhs_primal(1.0, rc_aff)
+                v_dir, u_aff = self._solve_factored(factor, np.array([g_vec + b, rhs_aff]).T).T
                 c_wrdw = sum(_dot(c[i], wrdw[i]) for i in range(len(dims)))
                 b_g = b - g_vec
                 denom = float(b_g @ v_dir) + h_cc + kappa / tau
@@ -586,11 +654,9 @@ class _Core:
                     info["stop"] = "start_projection"
                     return (OPTIMAL, None, info, (x_p, np.zeros(self.m)))
 
-            def newton(eta, rc, rhs_tk):
-                a_rc = self.ops._a_of(rc)
+            def newton(eta, rc, u, rhs_tk):
+                """The direction whose primal Schur solve u = M^-1 rhs_primal(eta, rc) is given."""
                 c_rc = sum(_dot(c[i], rc[i]) for i in range(len(dims)))
-                rhs_p = eta * r_p - a_rc + eta * a_wrdw
-                u = self._solve_factored(factor, rhs_p)
                 rhs_g2 = eta * r_g + c_rc - eta * c_wrdw + rhs_tk / tau
                 d_tau = (rhs_g2 - float(b_g @ u)) / denom
                 d_y = u + v_dir * d_tau
@@ -607,10 +673,14 @@ class _Core:
                     for g, gi, dx, ds in zip(gs, g_invs, d_x, d_s)
                 ]
 
+            lv_sides = [np.array([lvs[i] for i in side]) for side in self.sides]
+
             def step_bound(hats, d_tau, d_kappa):
                 alpha = np.inf
-                for lv, (dx_hat, ds_hat) in zip(lvs, hats):
-                    alpha = min(alpha, _scaled_step(lv, dx_hat), _scaled_step(lv, ds_hat))
+                for side, lv in zip(self.sides, lv_sides):
+                    for frame in (0, 1):
+                        h_hat = np.array([hats[i][frame] for i in side])
+                        alpha = min(alpha, _scaled_step(lv, h_hat))
                 if d_tau < 0:
                     alpha = min(alpha, -tau / d_tau)
                 if d_kappa < 0:
@@ -618,9 +688,8 @@ class _Core:
                 return alpha
 
             # predictor (affine) pass
-            rc_aff = [-x[i] for i in range(len(dims))]
             with np.errstate(**_QUIET):
-                aff = newton(1.0, rc_aff, -tau * kappa)
+                aff = newton(1.0, rc_aff, u_aff, -tau * kappa)
             if not _finite(aff):
                 info["reason"] = "non-finite Newton direction"
                 break
@@ -645,7 +714,8 @@ class _Core:
                     d_hat = rhat / ((lv[:, None] + lv[None, :]) / 2.0)
                     rc.append(_sym(g @ d_hat @ g.conj().T))
                 rhs_tk = sigma * mu - tau * kappa - aff[3] * aff[4]
-                direction = newton(eta, rc, rhs_tk)
+                u = self._solve_factored(factor, rhs_primal(eta, rc))
+                direction = newton(eta, rc, u, rhs_tk)
             if not _finite(direction):
                 info["reason"] = "non-finite Newton direction"
                 break
@@ -697,8 +767,9 @@ class _Core:
         return x_p if pres <= 0.1 * FEAS_TOL else None
 
     def _solve_factored(self, factor, rhs):
+        """M^-1 rhs through the Cholesky factor, for one column or an (m, k) rhs."""
         if self.m == 0:
-            return np.zeros(0)
+            return np.zeros(rhs.shape)
         # a non-finite rhs yields a non-finite direction, which solve() rejects
         return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
@@ -805,11 +876,7 @@ def verify(problem: SdpProblem, result: SdpResult) -> VerificationReport:
 
     if result.status == OPTIMAL:
         x = result.x
-        # Re <A_k, X> = Re sum A_k * conj(X), without copying the stacks
-        ax = sum(
-            np.einsum("kij,ij->k", stack, xb.conj()).real
-            for stack, xb in zip(ops.stacks, x.blocks)
-        )
+        ax = ops.apply(x)
         pres = float(np.linalg.norm(ax - problem.b) / (1.0 + np.linalg.norm(problem.b)))
         checks["primal_residual"] = (pres <= FEAS_TOL, pres, FEAS_TOL)
         lam_x = x.min_eig()
@@ -860,14 +927,13 @@ def block_matrix_from_json(data: list[dict]) -> BlockMatrix:
 
 def problem_to_json(p: SdpProblem) -> dict:
     """The problem with each constraint stack as its nonzero entries, row-major."""
-    constraints = []
-    for stack in p.constraint_set.stacks:
-        k, i, j = np.nonzero(stack)
-        values = stack[k, i, j]
-        constraints.append({
+    constraints = [
+        {
             "k": k.tolist(), "i": i.tolist(), "j": j.tolist(),
             "re": values.real.tolist(), "im": values.imag.tolist(),
-        })
+        }
+        for k, i, j, values in p.constraint_set._entries
+    ]
     return {
         "blocks": list(p.block_dims),
         "objective": None if p.objective is None else block_matrix_to_json(p.objective),

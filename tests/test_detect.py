@@ -99,6 +99,23 @@ class TestWitnessSdp:
         zt = tl.partial_transpose(z, {pr.A_I}).mat  # SDP variable Z
         assert np.max(np.abs(zt[np.ix_(perm, perm)] - zt)) <= 1e-7
 
+    def test_unrestricted_calls_share_the_trace_constraint_set(self, w111, w_pi0):
+        from tests.test_sdp import assert_same_solve, fresh
+
+        reports = [
+            detect.witness_sdp(w, swap_symmetric=swap)
+            for w in (w111, w_pi0)
+            for swap in (False, True)
+        ]
+        sets = {id(r.sdp_run[0].constraint_set) for r in reports}
+        assert len(sets) == 1
+        ops = reports[0].sdp_run[0].constraint_set
+        assert ops.block_dims == (8,) and np.array_equal(ops.stacks[0], np.eye(8)[None])
+        restricted = detect.witness_sdp(w111, constraints=[(self.sigma_z_on_a_i(), 0.0)])
+        assert restricted.sdp_run[0].constraint_set is not ops
+        for problem, result in (r.sdp_run for r in reports):
+            assert_same_solve(result, sdp.solve(fresh(problem)))
+
     @staticmethod
     def sigma_z_on_a_i():
         return tl.operator(

@@ -114,19 +114,21 @@ class TestSolveExamples:
 
     @pytest.mark.parametrize("n, expected", [(4, sdp.OPTIMAL), (8, sdp.MAX_ITER)])
     def test_non_finite_direction_reported(self, monkeypatch, n, expected):
-        # from its 20th call (iteration 6) every Cholesky solve returns NaNs;
-        # at n = 4 the incumbent already meets the result contract, at n = 8 not
+        # an iteration makes two Cholesky solves, v_dir with the predictor's u
+        # and the corrector's u; from the 13th (iteration 6's first) every
+        # solve returns NaNs; at n = 4 the incumbent already meets the result
+        # contract, at n = 8 not
         import scipy.linalg
 
         cho_solve = scipy.linalg.cho_solve
         calls = [0]
 
-        def nan_from_20th_call(*args, **kwargs):
+        def nan_from_13th_call(*args, **kwargs):
             calls[0] += 1
             out = cho_solve(*args, **kwargs)
-            return np.full_like(out, np.nan) if calls[0] >= 20 else out
+            return np.full_like(out, np.nan) if calls[0] >= 13 else out
 
-        monkeypatch.setattr(scipy.linalg, "cho_solve", nan_from_20th_call)
+        monkeypatch.setattr(scipy.linalg, "cho_solve", nan_from_13th_call)
         p = min_eig_problem(herm(np.random.default_rng(0), n))
         r = sdp.solve(p)
         assert r.status == expected
@@ -228,6 +230,13 @@ class TestNtScaling:
                 got = sdp._scaled_step(lv, to_frame(direction))
                 assert abs(got + 1.0 / lam) <= 1e-10 * (-1.0 / lam)
                 assert sdp._scaled_step(lv, to_frame(random_pd(rng, d))) == np.inf
+
+    def test_stacked_step_bound_is_the_least_per_block_bound(self):
+        rng = np.random.default_rng(127)
+        lvs = np.stack([np.linalg.eigvalsh(random_pd(rng, 6)) for _ in range(3)])
+        hats = np.stack([herm(rng, 6) for _ in range(3)])
+        per_block = [sdp._scaled_step(lv, h) for lv, h in zip(lvs, hats)]
+        assert sdp._scaled_step(lvs, hats) == min(per_block) < np.inf
 
 
 def random_problem(rng):
@@ -415,6 +424,19 @@ class TestStartFactor:
             assert r.status == sdp.OPTIMAL
             assert_same_solve(r, sdp.solve(fresh(problem)))
         assert ops._start_factor is factor
+
+    def test_two_column_solve_equals_two_one_column_solves(self):
+        import scipy.linalg
+
+        from qmemwit import detect
+
+        factor = detect._dps2_template((2, 2, 2)).constraint_set._start_factor
+        rng = np.random.default_rng(113)
+        for _ in range(5):
+            a, b = rng.standard_normal(672), rng.standard_normal(672)
+            v, u = scipy.linalg.cho_solve(factor, np.array([a, b]).T, check_finite=False).T
+            assert v.tobytes() == scipy.linalg.cho_solve(factor, a, check_finite=False).tobytes()
+            assert u.tobytes() == scipy.linalg.cho_solve(factor, b, check_finite=False).tobytes()
 
     def test_alternating_right_hand_sides_match_fresh_sets(self):
         from qmemwit import detect, ising
@@ -646,6 +668,90 @@ class TestAdjoint:
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
 
 
+class TestEntries:
+    """ConstraintSet.apply and .adjoint, summed over the stacks' nonzero entries,
+    against einsum and tensordot over the dense stacks."""
+
+    @staticmethod
+    def pairs(ops, seed):
+        """(entry-based, dense) pairs of A(X) and of each block of A*(y), for
+        five random Hermitian X and real y."""
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            x = [herm(rng, d) for d in ops.block_dims]
+            y = rng.standard_normal(ops.m)
+            ax = sum(np.einsum("kij,ij->k", s, xb.conj()).real for s, xb in zip(ops.stacks, x))
+            aty = [np.tensordot(y, s, axes=(0, 0)) for s in ops.stacks]
+            yield [(ops.apply(BlockMatrix(x)), ax), *zip(ops.adjoint(y).blocks, aty)]
+
+    def assert_close(self, ops, seed):
+        for pairs in self.pairs(ops, seed):
+            (got_ax, ax), *blocks = pairs
+            assert np.max(np.abs(got_ax - ax)) <= 1e-15 * np.max(np.abs(ax))
+            scale = max(np.max(np.abs(want)) for _, want in blocks)
+            assert all(np.max(np.abs(got - want)) <= 1e-15 * scale for got, want in blocks)
+
+    def test_dps2_template_bitwise(self):
+        from qmemwit import detect
+
+        ops = detect._dps2_template((2, 2, 2)).constraint_set
+        for pairs in self.pairs(ops, 83):
+            assert all(got.tobytes() == want.tobytes() for got, want in pairs)
+
+    def test_block_without_data(self):
+        ops = random_problem(np.random.default_rng(67)).constraint_set
+        assert ops._entries[2][0].size == 0
+        self.assert_close(ops, 89)
+
+    def test_rows_not_contiguous(self):
+        rng = np.random.default_rng(97)
+        dims, m = (3, 4, 2), 7
+        stacks = [np.stack([herm(rng, d) for _ in range(m)]) for d in dims]
+        stacks[1][[1, 3, 4]] = 0.0      # block 1 carries rows 0, 2, 5 and 6
+        stacks[2][:] = 0.0              # block 2 carries none
+        ops = sdp.ConstraintSet(dims, stacks)
+        assert sorted(set(ops._entries[1][0])) == [0, 2, 5, 6]
+        self.assert_close(ops, 101)
+
+    def test_entries_are_the_stacks_nonzeros_read_only(self):
+        ops = random_problem(np.random.default_rng(103)).constraint_set
+        for (k, i, j, values), stack in zip(ops._entries, ops.stacks):
+            rebuilt = np.zeros_like(stack)
+            rebuilt[k, i, j] = values
+            assert np.array_equal(rebuilt, stack) and np.all(values != 0)
+            with pytest.raises(ValueError):
+                values[:1] = 1.0
+        assert ops._entries is ops._entries
+
+
+class TestStartState:
+    """ConstraintSet._start_state: A(I), A*(0) and the scaling of (I, I), read
+    by every solve's iteration 0."""
+
+    def test_is_the_state_computed_afresh(self):
+        from qmemwit import detect
+
+        for ops in (
+            detect._dps2_template((2, 2, 2)).constraint_set,
+            random_problem(np.random.default_rng(107)).constraint_set,
+        ):
+            ax, aty, scaling = ops._start_state
+            assert ax.tobytes() == ops._a_of(identity_blocks(ops)).tobytes()
+            assert all(
+                a.tobytes() == b.tobytes() for a, b in zip(aty, ops._a_adj(np.zeros(ops.m)))
+            )
+            fresh_scaling = zip(*[sdp._nt_scaling(e, e) for e in identity_blocks(ops)])
+            for cached, computed in zip(scaling, fresh_scaling):
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(cached, computed))
+            assert ops._start_state is ops._start_state
+
+    def test_is_read_only(self):
+        ax, aty, scaling = random_problem(np.random.default_rng(109)).constraint_set._start_state
+        for a in (ax, *aty, *(a for part in scaling for a in part)):
+            with pytest.raises(ValueError):
+                a.flat[0] = 2.0
+
+
 class TestEigOracle:
     def test_fifty_random_instances(self):
         # cross-module oracle: optimum of max -Tr(MX) is -lambda_min(M)
@@ -725,10 +831,10 @@ class TestRandomFeasible:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_direction_is_rejected_quietly(self, monkeypatch):
-        # from its 26th call (iteration 8's predictor) every Cholesky solve
-        # returns 1e308: the direction overflows, _finite rejects it without
-        # a warning and the incumbent is optimal
-        self.cho_solve_huge_from(monkeypatch, 26)
+        # from its 17th call (iteration 8's v_dir and predictor u) every
+        # Cholesky solve returns 1e308: the direction overflows, _finite
+        # rejects it without a warning and the incumbent is optimal
+        self.cho_solve_huge_from(monkeypatch, 17)
         p = list(random_feasible_problems(11, 9))[8]
         r = sdp.solve(p)
         assert r.info["iterations"] == 8
@@ -738,9 +844,10 @@ class TestRandomFeasible:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_schur_pieces_are_rejected_quietly(self, monkeypatch):
-        # the 4th call is iteration 1's v_dir: it and denom = (b - g).v_dir
-        # overflow before either pass, and the direction is rejected as above
-        self.cho_solve_huge_from(monkeypatch, 4)
+        # the 3rd call is iteration 1's v_dir and predictor u: v_dir and
+        # denom = (b - g).v_dir overflow before either pass, and the direction
+        # is rejected as above
+        self.cho_solve_huge_from(monkeypatch, 3)
         r = sdp.solve(list(random_feasible_problems(11, 9))[8])
         assert r.info["iterations"] == 1
         assert r.info["reason"] == "non-finite Newton direction"
