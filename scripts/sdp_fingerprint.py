@@ -27,7 +27,10 @@ feasibility solve that ended at iteration 0, else None) and ``schur_shifts``
 The file also holds ``sweep_csv_sha1`` and ``sweep_dumps_sha1``: the SHA-1 of
 the CSV of ``cli.sweep`` on the stride-30 grid with every method in
 ``cli.METHODS``, and of the sorted names and bytes of the SDP dumps that
-sweep writes.
+sweep writes, and the BLAS setting the file was written under:
+``openblas_num_threads`` (the ``OPENBLAS_NUM_THREADS`` environment variable,
+or ``unset``) and ``cpu_count`` (``os.cpu_count()``), since ``dps2``
+trajectories differ between one and two BLAS threads.
 ``qmemwit`` is imported from the environment, so pointing PYTHONPATH at
 another checkout's ``src`` fingerprints that checkout.
 
@@ -46,9 +49,11 @@ verdict) and how many were shifted, how many ``dps2`` solves ended at the
 start projection and the total of ``schur_shifts`` (older files lack these
 fields and count none), and a histogram of the iteration differences (B - A), and whether
 the sweep hashes agree (files that both lack them, as older ones do, skip
-that check).  It exits with status 1 when an entry is missing, differs or
-changed shape, when a numeric difference exceeds --tol, or when a sweep hash
-differs.
+that check).  It prints both files' BLAS settings (``unknown`` in files
+that lack them, as older ones do) and flags a mismatch, which explains
+trajectory differences without being one.  It exits with status 1 when an
+entry is missing, differs or changed shape, when a numeric difference
+exceeds --tol, or when a sweep hash differs.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ DIGESTS = ("trajectory_sha1", "x_sha1")
 NUMERIC = ("value", "optimum", "certificate_min_eig")
 SWEEP_HASHES = ("sweep_csv_sha1", "sweep_dumps_sha1")
 SHAPE = ("block_dims", "m")
+BLAS_SETTING = ("openblas_num_threads", "cpu_count")
 PRINTED = ".12g"           # the precision of the sweep CSV's values
 SWEEP_STRIDE = 30
 H0_J = (0.5, 2.5, 4.5, 6.5, 8.5)
@@ -238,6 +244,11 @@ def compare(file_a: dict, file_b: dict, tol: float) -> bool:
             f"margin (verdict withheld){least}; {shifted} shifted; {started} dps2 solves "
             f"ended at the start projection; {retries} Schur factor retries"
         )
+    settings = [tuple(f.get(k, "unknown") for k in BLAS_SETTING) for f in (file_a, file_b)]
+    for name, setting in zip("AB", settings):
+        print(f"{name}: " + ", ".join(f"{k} {v}" for k, v in zip(BLAS_SETTING, setting)))
+    if settings[0] != settings[1]:
+        print("BLAS settings differ: dps2 trajectories may differ with them")
     hist = ", ".join(f"{d:+d}: {n}" for d, n in sorted(iteration_diff.items()))
     print(f"iteration differences (B - A): {hist}")
     for f in SWEEP_HASHES:
@@ -275,6 +286,8 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "seconds": round(time.perf_counter() - t0, 1),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+        "cpu_count": os.cpu_count(),
         **hashes,
         "records": records,
     }

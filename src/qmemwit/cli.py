@@ -201,20 +201,23 @@ def sweep(config: SweepConfig, dump_dir: str | None = None) -> list[SweepRow]:
     """Evaluate the configured methods on every grid point, J-major then h.
 
     One task per J row; with several workers the rows are spread over a
-    process pool.  Per-point failures are recorded in their rows and the
-    sweep continues.  Row values do not depend on the worker count, and
-    neither do the names and bytes of the SDP dumps written to ``dump_dir``.
+    process pool of at most one process per row, since the pool forks all
+    its processes at once.  Per-point failures are recorded in their rows
+    and the sweep continues.  Row values do not depend on the worker count,
+    and neither do the names and bytes of the SDP dumps written to
+    ``dump_dir``.
     """
     hs = config.h_range.values(config.stride)
     tasks = [
         (i, J, hs, config.t, config.methods, config.norm, dump_dir)
         for i, J in enumerate(config.j_range.values(config.stride))
     ]
-    if config.workers == 1:
+    workers = min(config.workers, len(tasks))
+    if workers <= 1:
         chunks = list(map(_sweep_row, tasks))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunksize = max(1, len(tasks) // (4 * config.workers))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, len(tasks) // (4 * workers))
             chunks = list(pool.map(_sweep_row, tasks, chunksize=chunksize))
     return [row for chunk in chunks for row in chunk]
 

@@ -17,16 +17,18 @@ the SVD R^H L = U diag(lv) V^H: G = L V diag(lv)^-1/2 gives W = G G^H, and
 the scaled point G^-1 X G^-H = G^H S G = diag(lv) is diagonal.  So the
 corrector's Lyapunov solve is an entrywise division by (lv_i + lv_j)/2, and
 the step bound of X along dX is -1/lambda_min(diag(lv)^-1/2 H diag(lv)^-1/2)
-with H = G^-1 dX G^-H, that of S the same with H = G^H dS G, each read for
-all blocks of one side in one eigvalsh call.  An iterate whose X or S has
-no Cholesky factor ends the iteration with that reason.  Each iteration
+with H = G^-1 dX G^-H, that of S the same with H = G^H dS G, both read for
+all blocks with one eigvalsh call per block side (``_least_eigs``, the
+module's one spectrum kernel, which also serves the certificate tests and
+``verify``).  An iterate whose X or S has no Cholesky factor ends the
+iteration with that reason.  Each iteration
 makes two solves with its Schur factor: one two-column solve for v_dir and
 the predictor's right-hand side, then the corrector's.
 
 An infeasible solve stops at the first iteration whose y yields a
 certificate.  The plain test normalizes y to y_hat = y / b.y.  When S =
 -A*(y_hat) is not PSD, the shifted test adds t_b y_b for each block b of the
-set's block shifts (``ConstraintSet._block_shifts``): y_b is a fixed
+block shifts of the set's start state (``ConstraintSet._start``): y_b is a fixed
 multiplier whose -A*(y_b) fits E_b, the identity on block b, is PSD and is at
 least sigma_b > 0 on block b, so it lifts block b's spectrum by t_b sigma_b.
 The result, rescaled to b.y = 1, is returned only when its recomputed b.y is
@@ -43,7 +45,7 @@ projection is positive definite.  There X = S = I, y = 0 and g_vec = A(W C W)
 is exactly 0, so the first Schur solve gives v_dir = G^-1 b, with G = Re(A A^H)
 the Gram matrix of the start factor, and the projection of I onto {A(X) = b}
 is X_p = I - A*(G^-1 (A(I) - b)) = P_0 + A*(v_dir), with P_0 = I -
-A*(G^-1 A(I)) cached per set (``ConstraintSet._start_projection``).  When every
+A*(G^-1 A(I)) cached per set (``ConstraintSet._start``).  When every
 block of X_p has a Cholesky factor and its recomputed primal residual is at
 most 0.1 FEAS_TOL, the solve returns OPTIMAL with x = X_p, y = 0 and
 objective 0: S = C - A*(0) = 0 and the gap is 0, so the result meets the
@@ -76,12 +78,12 @@ assembly on the set.
 
 The module keeps no state between solves but what each ``ConstraintSet``
 caches: that per-thread workspace and, read-only, the sparse matrices, the
-nonzero entries, the block shifts, P_0, the start state and one factor, so
-threads may solve on one set at once.  Every solve starts at X = S = I and
-y = 0, where the Nesterov-Todd scaling is W = I and M is the Gram matrix
-Re(A A^H) of the constraints, so the Cholesky factor of that M is computed
-once and shared by every problem built on the set, and so are A(I), A*(0)
-and the scaling of (I, I) (``ConstraintSet._start_state``).  Each result
+nonzero entries and the start state, so threads may solve on one set at
+once.  Every solve starts at X = S = I and y = 0, where the Nesterov-Todd
+scaling is W = G = G^-1 = I with lv = 1 and M is the Gram matrix Re(A A^H)
+of the constraints, so the Cholesky factor of that M is computed once and
+shared by every problem built on the set, with P_0 and the block shifts that
+one solve with it gives (``ConstraintSet._start``).  Each result
 explains itself in ``info``: the iteration count, the per-iteration
 trajectory of (iteration, mu, primal residual, dual residual, gap, tau,
 kappa), the diagonal-shift retries of the Schur factorizations of iterations
@@ -162,7 +164,7 @@ class BlockMatrix:
         )
 
     def min_eig(self) -> float:
-        return min(float(np.linalg.eigvalsh(b)[0]) for b in self.blocks)
+        return min(_least_eigs(self.blocks))
 
     def norm(self) -> float:
         return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in self.blocks)))
@@ -180,11 +182,11 @@ class ConstraintSet:
 
     The stacks (one (m, n_b, n_b) complex array per block) are shared between
     problems that differ only in their right-hand sides, and so are the
-    sparse matrices the solver applies them with, their nonzero entries,
-    the solver's start state and the Cholesky factor of the Schur
-    complement there, the constant part of the start point's projection and
-    the block shifts of the Farkas stop test, each computed once, cached and
-    never written again.  The Schur workspace is per thread: the (m, m) M,
+    sparse matrices the solver applies them with, their nonzero entries and
+    the solver's start state (the Cholesky factor of the Schur complement
+    there, the constant part of the start point's projection and the block
+    shifts of the Farkas stop test), each computed once, cached and never
+    written again.  The Schur workspace is per thread: the (m, m) M,
     one W kron W^T per block side and one real buffer for the second
     product.  ``_schur`` returns M itself, overwritten by the same thread's
     next ``_schur`` on the set; its consumer ``_factor`` copies it.  So
@@ -338,80 +340,46 @@ class ConstraintSet:
         return big_m
 
     @cached_property
-    def _start_factor(self):
-        """``_factor`` of the Schur complement at W = I, read-only; None if it fails.
+    def _start(self) -> tuple:
+        """(factor, P_0, shifts) at the start point x = s = I, y = 0, read-only.
 
-        Every solve starts at x = s = I, where the Nesterov-Todd scaling is
-        W = I exactly, so iteration 0 of every problem on this set factors
-        this same matrix.
+        Every solve starts there, where the Nesterov-Todd scaling is W = I
+        exactly, so iteration 0 of every problem on this set factors the same
+        Gram matrix G = Re(A A^H): factor is its ``_factor``, None if that
+        fails.  One solve with G against [A(I), A(E_0), ..., A(E_B)], with
+        A(E_b) the traces of the constraints' block-b parts and A(I) their
+        sum, gives the rest.
+
+        P_0 = I - A*(G^-1 A(I)) per block is the constant part of the start
+        point's projection onto {A(X) = b}, which is I - A*(G^-1 (A(I) - b))
+        = P_0 + A*(G^-1 b).
+
+        shifts holds (b, y_b, sigma_b) for each block b that -A*(y_b) lifts by
+        sigma_b > 0.  y_b = -G^-1 A(E_b) is the least-squares multiplier of
+        -A*(y) = E_b, the identity on block b.  Block b keeps it when S_b =
+        -A*(y_b) is PSD on every block (to HERM_TOL sigma_b) and sigma_b =
+        lambda_min(S_b on block b) > 0: adding t y_b to a y then raises block
+        b of -A*(y) by at least t sigma_b and lowers no block (Weyl's
+        inequality).  Without a factor or constraints, P_0 is None and there
+        are no shifts.
         """
         factor, _ = _factor(self._schur([np.eye(d, dtype=complex) for d in self.block_dims]))
-        if factor is not None:
-            factor[0].setflags(write=False)
-        return factor
-
-    @cached_property
-    def _start_state(self) -> tuple:
-        """(A(I), A*(0), (W, G, G^-1, lv) per block) at x = s = I, y = 0, read-only.
-
-        Every solve starts there, so iteration 0 reads its primal and dual
-        maps and its Nesterov-Todd scaling, W = G = G^-1 = I with lv = 1,
-        from this cache instead of recomputing them.
-        """
-        eyes = [np.eye(d, dtype=complex) for d in self.block_dims]
-        state = (
-            self._a_of(eyes),
-            tuple(self._a_adj(np.zeros(self.m))),
-            tuple(zip(*[_nt_scaling(e, e) for e in eyes])),
-        )
-        for a in (state[0], *state[1], *(a for part in state[2] for a in part)):
-            a.setflags(write=False)
-        return state
-
-    @cached_property
-    def _start_projection(self):
-        """P_0 = I - A*(G^{-1} A(I)) per block, read-only; None without a start factor.
-
-        The projection of the start point I onto {A(X) = b} is
-        I - A*(G^{-1} (A(I) - b)) = P_0 + A*(G^{-1} b), with G = Re(A A^H)
-        through the start factor, so only its term in b depends on the problem.
-        """
-        factor = self._start_factor
         if factor is None or self.m == 0:
-            return None
-        a_eye = sum(np.einsum("kii->k", s).real for s in self.stacks)
-        z = scipy.linalg.cho_solve(factor, a_eye, check_finite=False)
-        blocks = tuple(np.eye(d) - a for d, a in zip(self.block_dims, self._a_adj(z)))
-        for blk in blocks:
-            blk.setflags(write=False)
-        return blocks
-
-    @cached_property
-    def _block_shifts(self) -> tuple:
-        """(b, y_b, sigma_b) for each block b that -A*(y_b) lifts by sigma_b > 0.
-
-        y_b = -G^{-1} A(E_b), with G = Re(A A^H) through the start factor, is
-        the least-squares multiplier of -A*(y) = E_b.  Block b keeps it when
-        S_b = -A*(y_b) is PSD on every block (to HERM_TOL sigma_b) and
-        sigma_b = lambda_min(S_b on block b) > 0: adding t y_b to a y then
-        raises block b of -A*(y) by at least t sigma_b and lowers no block
-        (Weyl's inequality).
-        """
-        factor = self._start_factor
-        if factor is None or self.m == 0:
-            return ()
-        # column b is A(E_b): the traces of the constraints' block-b parts
-        a_eyes = np.stack([np.einsum("kii->k", s).real for s in self.stacks], axis=1)
-        ys = -scipy.linalg.cho_solve(factor, a_eyes, check_finite=False)
+            return factor, None, ()
+        a_eyes = [np.einsum("kii->k", s).real for s in self.stacks]
+        rhs = np.stack([sum(a_eyes), *a_eyes], axis=1)
+        z = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        p_0 = tuple(np.eye(d) - a for d, a in zip(self.block_dims, self._a_adj(z[:, 0])))
         shifts = []
         for b in range(len(self.block_dims)):
-            lams = [float(np.linalg.eigvalsh(-blk)[0]) for blk in self._a_adj(ys[:, b])]
+            y_b = -z[:, b + 1]
+            lams = _least_eigs([-blk for blk in self._a_adj(y_b)])
             sigma = lams[b]
             if sigma > 0 and min(lams) >= -HERM_TOL * sigma:
-                y_b = np.ascontiguousarray(ys[:, b])
-                y_b.setflags(write=False)
                 shifts.append((b, y_b, sigma))
-        return tuple(shifts)
+        for a in (factor[0], *p_0, *(y_b for _, y_b, _ in shifts)):
+            a.setflags(write=False)
+        return factor, p_0, tuple(shifts)
 
 
 @dataclass
@@ -494,12 +462,21 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     return _sym(g @ g.conj().T), g, g_inv, lv
 
 
-def _scaled_step(lv: np.ndarray, h_hat: np.ndarray) -> float:
-    """Largest alpha with diag(lv) + alpha h_hat >= 0, h_hat a scaled dX or dS;
-    for stacks lv (n, d) and h_hat (n, d, d), the least over the n blocks, from
-    one eigvalsh call."""
-    r = 1.0 / np.sqrt(lv)
-    lam = float(np.linalg.eigvalsh(h_hat * r[..., :, None] * r[..., None, :])[..., 0].min())
+def _least_eigs(blocks) -> list:
+    """lambda_min of each block, from one eigvalsh call per block side."""
+    lams = [0.0] * len(blocks)
+    for d in {len(blk) for blk in blocks}:
+        index = [i for i, blk in enumerate(blocks) if len(blk) == d]
+        for i, lam in zip(index, np.linalg.eigvalsh(np.array([blocks[i] for i in index]))[:, 0]):
+            lams[i] = float(lam)
+    return lams
+
+
+def _scaled_step(lvs, h_hats) -> float:
+    """Largest alpha with diag(lv) + alpha h_hat >= 0 for every pair of the
+    per-block lists lvs and h_hats, each h_hat a scaled dX or dS."""
+    rs = [1.0 / np.sqrt(lv) for lv in lvs]
+    lam = min(_least_eigs([h * r[:, None] * r[None, :] for r, h in zip(rs, h_hats)]))
     return np.inf if lam >= 0 else -1.0 / lam
 
 
@@ -539,8 +516,6 @@ class _Core:
         self.b = b
         self.m = len(b)
         self.n_total = sum(self.dims)
-        # the blocks of each side, whose step bounds share one stacked eigvalsh
-        self.sides = [[i for i, e in enumerate(self.dims) if e == d] for d in set(self.dims)]
 
     def solve(self, max_iterations=MAX_ITERATIONS):
         dims = self.dims
@@ -561,12 +536,9 @@ class _Core:
 
         for it in range(max_iterations):
             info["iterations"] = it
-            # residuals of the self-dual system; x = s = I and y = 0 at iteration 0
-            if it == 0:
-                ax, aty, start_scaling = self.ops._start_state
-            else:
-                ax = self.ops._a_of(x)
-                aty = self.ops._a_adj(y)
+            # residuals of the self-dual system
+            ax = self.ops._a_of(x)
+            aty = self.ops._a_adj(y)
             r_p = b * tau - ax
             r_d = [c[i] * tau - aty[i] - s[i] for i in range(len(dims))]
             cx = sum(_dot(c[i], x[i]) for i in range(len(dims)))
@@ -613,9 +585,10 @@ class _Core:
 
             # Nesterov-Todd scaling per block
             if it == 0:
-                # x = s = I, so W = I: the set's cached scaling and start factor
-                ws, gs, g_invs, lvs = start_scaling
-                factor = self.ops._start_factor
+                # x = s = I, scaled by W = G = G^-1 = I with lv = 1: the set's start factor
+                ws = gs = g_invs = x
+                lvs = [np.ones(d) for d in dims]
+                factor = self.ops._start[0]
             else:
                 try:
                     ws, gs, g_invs, lvs = zip(*[_nt_scaling(x[i], s[i]) for i in range(len(dims))])
@@ -667,20 +640,13 @@ class _Core:
                 return d_x, d_y, d_s, d_tau, d_kappa
 
             def scaled(d_x, d_s):
-                """Per block, (G^-1 dX G^-H, G^H dS G): the direction in the scaled frame."""
-                return [
-                    (gi @ dx @ gi.conj().T, g.conj().T @ ds @ g)
-                    for g, gi, dx, ds in zip(gs, g_invs, d_x, d_s)
+                """G^-1 dX G^-H per block, then G^H dS G per block: the scaled direction."""
+                return [gi @ dx @ gi.conj().T for gi, dx in zip(g_invs, d_x)] + [
+                    g.conj().T @ ds @ g for g, ds in zip(gs, d_s)
                 ]
 
-            lv_sides = [np.array([lvs[i] for i in side]) for side in self.sides]
-
             def step_bound(hats, d_tau, d_kappa):
-                alpha = np.inf
-                for side, lv in zip(self.sides, lv_sides):
-                    for frame in (0, 1):
-                        h_hat = np.array([hats[i][frame] for i in side])
-                        alpha = min(alpha, _scaled_step(lv, h_hat))
+                alpha = _scaled_step([*lvs, *lvs], hats)
                 if d_tau < 0:
                     alpha = min(alpha, -tau / d_tau)
                 if d_kappa < 0:
@@ -708,7 +674,7 @@ class _Core:
             eta = 1.0 - sigma
             with np.errstate(**_QUIET):
                 rc = []
-                for g, lv, (dxa_hat, dsa_hat) in zip(gs, lvs, aff_hats):
+                for g, lv, dxa_hat, dsa_hat in zip(gs, lvs, aff_hats, aff_hats[len(dims) :]):
                     rhat = np.diag(sigma * mu - lv * lv) - _sym(dxa_hat @ dsa_hat)
                     # Lyapunov solve (V D + D V)/2 = rhat at the diagonal V = diag(lv)
                     d_hat = rhat / ((lv[:, None] + lv[None, :]) / 2.0)
@@ -753,7 +719,7 @@ class _Core:
         {A(X) = b} when v_dir = G^-1 b, if every block of X_p has a Cholesky
         factor and its recomputed primal residual is at most 0.1 FEAS_TOL;
         else None.  Blocks are tried in order, and the residual only after all."""
-        p_0 = self.ops._start_projection
+        p_0 = self.ops._start[1]
         if p_0 is None:
             return None
         with np.errstate(**_QUIET):
@@ -779,7 +745,7 @@ class _Core:
         The plain test: y_hat = y / b.y, if S = -A*(y_hat) passes CERT_TOL
         and, unless tau has collapsed, is PSD.  Failing that, the shifted
         test: when every block with lambda_b = lambda_min(S on block b) < 0
-        has a block shift (``ConstraintSet._block_shifts``), y' = y_hat +
+        has a block shift (``ConstraintSet._start``), y' = y_hat +
         sum_b t_b y_b with t_b sigma_b = SHIFT_SLACK max(0, -lambda_b) +
         CERT_TOL lifts every block above zero by Weyl's inequality, and
         y' / b.y' is returned when b.y' > 0, its recomputed b.y is 1 to
@@ -793,12 +759,12 @@ class _Core:
             return None
         y_hat = y / by
         s_hat = [-blk for blk in self.ops._a_adj(y_hat)]
-        lams = [float(np.linalg.eigvalsh(blk)[0]) for blk in s_hat]
+        lams = _least_eigs(s_hat)
         lam = min(lams)
         norm = max(float(np.max(np.abs(blk))) for blk in s_hat)
         if lam >= -CERT_TOL * (1.0 + norm) and (tau <= TAU_KAPPA_RATIO * kappa or lam >= 0.0):
             return y_hat
-        shifts = self.ops._block_shifts
+        shifts = self.ops._start[2]
         shifted = {b for b, _, _ in shifts}
         if any(lam_b < 0 and b not in shifted for b, lam_b in enumerate(lams)):
             return None
@@ -813,7 +779,7 @@ class _Core:
         y_shift /= by_shift
         if abs(float(self.b @ y_shift) - 1.0) > SHIFT_NORM_TOL:
             return None
-        if min(float(np.linalg.eigvalsh(-blk)[0]) for blk in self.ops._a_adj(y_shift)) < 0:
+        if min(_least_eigs([-blk for blk in self.ops._a_adj(y_shift)])) < 0:
             return None
         info["certificate_shift"] = t
         return y_shift

@@ -85,6 +85,37 @@ class TestSweep:
         csv4 = cli.rows_to_csv(cli.sweep(replace(config, workers=4)))
         assert csv1 == csv4
 
+    def test_pool_has_at_most_one_process_per_row(self, monkeypatch):
+        # the pool forks all its processes on its first submit, so it is sized
+        # by the row count; a fake pool records its size and starts no process
+        created = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        config = cli.SweepConfig(
+            j_range=cli.Range(0.0, 2.0, 3), h_range=cli.Range(0.0, 1.0, 2),
+            methods=("ppt", "markov_distance"),
+        )
+        serial = cli.rows_to_csv(cli.sweep(config))
+        assert cli.rows_to_csv(cli.sweep(replace(config, workers=64))) == serial
+        assert created == [3]
+        one_row = replace(config, j_range=cli.Range(1.0, 1.0, 1))
+        serial = cli.rows_to_csv(cli.sweep(one_row))
+        assert cli.rows_to_csv(cli.sweep(replace(one_row, workers=64))) == serial
+        assert created == [3]
+
     def test_frobenius_norm_flag(self):
         config = cli.SweepConfig(
             j_range=cli.Range(1.0, 1.0, 1), h_range=cli.Range(1.0, 1.0, 1),

@@ -406,6 +406,53 @@ class TestDps2Template:
             assert not stack[first:].any()
 
 
+class TestDps2AnalyticExtension:
+    """A solver-free proof of the feasible side of the level-2 test: explicit
+    Bose-symmetric extensions Y of rho = W / Tr W on (A_I, A_O, B_I, A_I2),
+    whose blocks (Y, Y^{T_{A_I2}}, Y^{T_B}) with y = 0 pass ``sdp.verify`` as
+    an optimal result of the template's problem."""
+
+    FACTORS = [(pr.A_I, 2), (pr.A_O, 2), (pr.B_I, 2), (detect.EXTENSION_LABEL, 2)]
+
+    def assert_extends(self, w, y_mat):
+        problem = detect._dps2_template((2, 2, 2)).problem(w)
+        ext = tl.operator(self.FACTORS, y_mat)
+        blocks = [y_mat] + [
+            tl.partial_transpose(ext, labels).mat
+            for labels in ({detect.EXTENSION_LABEL}, {pr.A_O, pr.B_I})
+        ]
+        result = sdp.SdpResult(
+            sdp.OPTIMAL, sdp.BlockMatrix(blocks), np.zeros(problem.constraint_set.m), 0.0
+        )
+        report = sdp.verify(problem, result)
+        assert report.ok, str(report)
+        assert report.checks["primal_residual"][1] <= 1e-14
+        assert report.checks["primal_psd"][1] >= -1e-14
+
+    def test_h0_mixture(self):
+        # W = sum_nu q_nu rho_nu (x) T_nu at h = 0, and Y = sum_nu (q_nu / Tr W)
+        # rho_nu (x) T_nu (x) rho_nu: the template's marginal is W / Tr W
+        for k in range(1, 31):
+            j = k / 3
+            w = ising.process_matrix(j, 0.0, 1.0)
+            trace = w.op.trace().real
+            y_mat = 0
+            for q, rho, t in ising.analytic_h0_mixture(j, 1.0).terms:
+                t_mat = tl.reorder(t.op, [pr.A_O, pr.B_I]).mat
+                y_mat = y_mat + q / trace * np.kron(np.kron(rho.mat, t_mat), rho.mat)
+            self.assert_extends(w, y_mat)
+
+    def test_markovian_line(self):
+        # at J = 0, rho = rho_{A_I} (x) rho_{A_O B_I}, extended by a second rho_{A_I}
+        for k in range(31):
+            w = ising.process_matrix(0.0, k / 3, 1.0)
+            rho = tl.reorder(w.op, pr.PROCESS_LABELS)
+            rho = tl.operator(list(zip(pr.PROCESS_LABELS, (2, 2, 2))), rho.mat / rho.trace().real)
+            rho_a = tl.partial_trace(rho, {pr.A_O, pr.B_I}).mat
+            rho_ob = tl.reorder(tl.partial_trace(rho, {pr.A_I}), (pr.A_O, pr.B_I)).mat
+            self.assert_extends(w, np.kron(np.kron(rho_a, rho_ob), rho_a))
+
+
 class TestValidateWitness:
     def test_identity_witness(self):
         z = tl.operator([(pr.A_I, 2), (pr.A_O, 2), (pr.B_I, 2)], np.eye(8) / 8)

@@ -1,4 +1,5 @@
 import json
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -117,7 +118,8 @@ class TestSolveExamples:
         # an iteration makes two Cholesky solves, v_dir with the predictor's u
         # and the corrector's u; from the 13th (iteration 6's first) every
         # solve returns NaNs; at n = 4 the incumbent already meets the result
-        # contract, at n = 8 not
+        # contract, at n = 8 not.  The set's start state, with its own solve,
+        # is computed before the count starts
         import scipy.linalg
 
         cho_solve = scipy.linalg.cho_solve
@@ -128,8 +130,9 @@ class TestSolveExamples:
             out = cho_solve(*args, **kwargs)
             return np.full_like(out, np.nan) if calls[0] >= 13 else out
 
-        monkeypatch.setattr(scipy.linalg, "cho_solve", nan_from_13th_call)
         p = min_eig_problem(herm(np.random.default_rng(0), n))
+        p.constraint_set._start
+        monkeypatch.setattr(scipy.linalg, "cho_solve", nan_from_13th_call)
         r = sdp.solve(p)
         assert r.status == expected
         assert r.info["reason"] == "non-finite Newton direction"
@@ -137,19 +140,20 @@ class TestSolveExamples:
 
     @pytest.mark.parametrize("n, expected", [(4, sdp.OPTIMAL), (8, sdp.MAX_ITER)])
     def test_cholesky_failure_of_the_iterate_reported(self, monkeypatch, n, expected):
-        # from its 13th call (iteration 6's X) every Cholesky factorization of
-        # the iterate fails; at n = 4 the incumbent already meets the result
-        # contract, at n = 8 not
+        # iteration 0 scales x = s = I in closed form and iterations 1 to 5
+        # factor X and S of the one block, so from its 11th call (iteration 6's
+        # X) every Cholesky factorization of the iterate fails; at n = 4 the
+        # incumbent already meets the result contract, at n = 8 not
         cholesky = np.linalg.cholesky
         calls = [0]
 
-        def failing_from_13th_call(a):
+        def failing_from_11th_call(a):
             calls[0] += 1
-            if calls[0] >= 13:
+            if calls[0] >= 11:
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
             return cholesky(a)
 
-        monkeypatch.setattr(np.linalg, "cholesky", failing_from_13th_call)
+        monkeypatch.setattr(np.linalg, "cholesky", failing_from_11th_call)
         p = min_eig_problem(herm(np.random.default_rng(0), n))
         r = sdp.solve(p)
         assert r.info["iterations"] == 6
@@ -209,12 +213,14 @@ class TestNtScaling:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6, 7, 8, 12, 16])
     def test_identity_pair_is_exact(self, d):
-        # ConstraintSet._start_factor relies on W = I bitwise at x = s = I
+        # iteration 0 takes W = G = G^-1 = I and lv = 1 at x = s = I, and the
+        # set's start factor is that of W = I: both need this scaling bitwise
         eye = np.eye(d, dtype=complex)
         w, g, g_inv, lv = sdp._nt_scaling(eye, eye)
         assert w.tobytes() == eye.tobytes()
         assert lv.tobytes() == np.ones(d).tobytes()
         assert np.array_equal(g, eye) and np.array_equal(g_inv, eye)
+        assert g.tobytes() == eye.tobytes() and g_inv.tobytes() == eye.tobytes()
 
     def test_step_bound_matches_the_reference(self):
         for rng, x, s in self.pairs():
@@ -227,16 +233,49 @@ class TestNtScaling:
                 root = self.inv_sqrt(point)
                 lam = np.linalg.eigvalsh(root @ direction @ root)[0]
                 assert lam < 0
-                got = sdp._scaled_step(lv, to_frame(direction))
+                got = sdp._scaled_step([lv], [to_frame(direction)])
                 assert abs(got + 1.0 / lam) <= 1e-10 * (-1.0 / lam)
-                assert sdp._scaled_step(lv, to_frame(random_pd(rng, d))) == np.inf
+                assert sdp._scaled_step([lv], [to_frame(random_pd(rng, d))]) == np.inf
 
     def test_stacked_step_bound_is_the_least_per_block_bound(self):
         rng = np.random.default_rng(127)
-        lvs = np.stack([np.linalg.eigvalsh(random_pd(rng, 6)) for _ in range(3)])
-        hats = np.stack([herm(rng, 6) for _ in range(3)])
-        per_block = [sdp._scaled_step(lv, h) for lv, h in zip(lvs, hats)]
+        sides = (6, 3, 6, 2, 3, 6)
+        lvs = [np.linalg.eigvalsh(random_pd(rng, d)) for d in sides]
+        hats = [herm(rng, d) for d in sides]
+        per_block = [sdp._scaled_step([lv], [h]) for lv, h in zip(lvs, hats)]
         assert sdp._scaled_step(lvs, hats) == min(per_block) < np.inf
+        # a PSD direction on every block bounds no step
+        assert sdp._scaled_step(lvs, [random_pd(rng, d) for d in sides]) == np.inf
+
+
+class TestLeastEigs:
+    """sdp._least_eigs, one eigvalsh call per block side, against one call per block."""
+
+    @staticmethod
+    def assert_per_block(blocks):
+        got = sdp._least_eigs(blocks)
+        want = [float(np.linalg.eigvalsh(b)[0]) for b in blocks]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_one_block(self):
+        self.assert_per_block([herm(np.random.default_rng(131), 5)])
+
+    def test_mixed_sides(self):
+        rng = np.random.default_rng(137)
+        self.assert_per_block([herm(rng, d) for d in (2, 3, 16, 3, 16)])
+
+    def test_one_call_per_side(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rng = np.random.default_rng(139)
+        sdp._least_eigs([herm(rng, d) for d in (2, 3, 16, 3, 16)])
+        assert sorted(calls) == [(1, 2, 2), (2, 3, 3), (2, 16, 16)]
 
 
 def random_problem(rng):
@@ -350,6 +389,15 @@ def fresh(problem):
     return SdpProblem(problem.objective, sdp.ConstraintSet(ops.block_dims, ops.stacks), problem.b)
 
 
+def without_block_shifts(monkeypatch):
+    """Make every ConstraintSet whose start state is not yet cached compute it
+    with no block shifts, so that no solve on it takes the shifted Farkas stop."""
+    start = sdp.ConstraintSet._start.func
+    patched = cached_property(lambda ops: (*start(ops)[:2], ()))
+    patched.__set_name__(sdp.ConstraintSet, "_start")
+    monkeypatch.setattr(sdp.ConstraintSet, "_start", patched)
+
+
 class TestStartFactor:
     """The Schur factor at W = I, cached per ConstraintSet for every solve's iteration 0."""
 
@@ -360,13 +408,13 @@ class TestStartFactor:
             detect._dps2_template((2, 2, 2)).constraint_set,
             random_problem(np.random.default_rng(73)).constraint_set,
         ):
-            factor = ops._start_factor
+            factor = ops._start[0]
             ref, retries = sdp._factor(ops._schur(identity_blocks(ops)))
             assert retries == 0
             assert factor[1] == ref[1]
             assert factor[0].tobytes() == ref[0].tobytes()
             assert not factor[0].flags.writeable
-            assert ops._start_factor is factor
+            assert ops._start[0] is factor
             gram = TestSchur.reference(ops, identity_blocks(ops))
             lower = np.tril(factor[0])
             assert np.max(np.abs(lower @ lower.T - gram)) <= 1e-12 * np.max(np.abs(gram))
@@ -383,7 +431,7 @@ class TestStartFactor:
 
         monkeypatch.setattr(sdp.ConstraintSet, "_schur", counted)
         # without the shifted stop, (1.3, 0.7) runs past iteration 1
-        monkeypatch.setattr(sdp.ConstraintSet, "_block_shifts", ())
+        without_block_shifts(monkeypatch)
         template = detect._Dps2Template((2, 2, 2))
         problems = [
             min_eig_problem(herm(np.random.default_rng(79), 4)),
@@ -411,10 +459,10 @@ class TestStartFactor:
         ]
         ops = problems[0].constraint_set
         problems[1].constraint_set = ops
-        gram = ops._schur(identity_blocks(ops)).copy()    # _start_factor assembles again
+        gram = ops._schur(identity_blocks(ops)).copy()    # _start assembles again
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-        factor = ops._start_factor
+        factor = ops._start[0]
         assert factor is not None
         shifted, retries = sdp._factor(gram)
         assert retries >= 1
@@ -423,20 +471,33 @@ class TestStartFactor:
             r = sdp.solve(problem)
             assert r.status == sdp.OPTIMAL
             assert_same_solve(r, sdp.solve(fresh(problem)))
-        assert ops._start_factor is factor
+        assert ops._start[0] is factor
 
     def test_two_column_solve_equals_two_one_column_solves(self):
         import scipy.linalg
 
         from qmemwit import detect
 
-        factor = detect._dps2_template((2, 2, 2)).constraint_set._start_factor
+        factor = detect._dps2_template((2, 2, 2)).constraint_set._start[0]
         rng = np.random.default_rng(113)
         for _ in range(5):
             a, b = rng.standard_normal(672), rng.standard_normal(672)
             v, u = scipy.linalg.cho_solve(factor, np.array([a, b]).T, check_finite=False).T
             assert v.tobytes() == scipy.linalg.cho_solve(factor, a, check_finite=False).tobytes()
             assert u.tobytes() == scipy.linalg.cho_solve(factor, b, check_finite=False).tobytes()
+        # the start state's one solve, against A(I) and each A(E_b), column by column
+        for ops in (
+            detect._dps2_template((2, 2, 2)).constraint_set,
+            detect._dps2_template((2, 1, 2)).constraint_set,
+            detect._trace_constraint_set(8),
+        ):
+            a_eyes = [np.einsum("kii->k", s).real for s in ops.stacks]
+            columns = np.stack([sum(a_eyes), *a_eyes], axis=1)
+            factor = ops._start[0]
+            z = scipy.linalg.cho_solve(factor, columns, check_finite=False)
+            for col, got in zip(columns.T, z.T):
+                one = scipy.linalg.cho_solve(factor, np.ascontiguousarray(col), check_finite=False)
+                assert got.tobytes() == one.tobytes()
 
     def test_alternating_right_hand_sides_match_fresh_sets(self):
         from qmemwit import detect, ising
@@ -454,7 +515,7 @@ class TestStartFactor:
 
 class TestStartProjection:
     """The feasibility stop at iteration 0, on the projection of the start point I
-    onto {A(X) = b} read from ConstraintSet._start_projection."""
+    onto {A(X) = b} read from P_0 of ConstraintSet._start."""
 
     @staticmethod
     def projection(problem):
@@ -481,8 +542,8 @@ class TestStartProjection:
 
         problem = detect._Dps2Template((2, 2, 2)).problem(ising.process_matrix(0.0, 0.7, 1.0))
         ops = problem.constraint_set
-        p_0 = ops._start_projection
-        assert ops._start_projection is p_0
+        p_0 = ops._start[1]
+        assert ops._start[1] is p_0
         assert not any(blk.flags.writeable for blk in p_0)
         r = sdp.solve(problem)
         self.assert_stopped(problem, r)
@@ -536,7 +597,7 @@ class TestStartProjection:
         from qmemwit import detect, ising
 
         template = detect._Dps2Template((2, 2, 2))
-        assert template.constraint_set._start_factor is not None
+        assert template.constraint_set._start[0] is not None
         failures = []
         cho_factor = scipy.linalg.cho_factor
 
@@ -556,29 +617,30 @@ class TestStartProjection:
 
 
 class TestBlockShifts:
-    """ConstraintSet._block_shifts and the shifted Farkas stop it enables."""
+    """The block shifts of ConstraintSet._start and the shifted Farkas stop they enable."""
 
     def test_dps2_template_shifts_every_block_by_its_identity(self):
         from qmemwit import detect
 
         ops = detect._Dps2Template((2, 2, 2)).constraint_set
-        shifts = ops._block_shifts
+        shifts = ops._start[2]
         assert [b for b, _, _ in shifts] == [0, 1, 2]
         for b, y_b, sigma in shifts:
+            assert not y_b.flags.writeable
             for i, got in enumerate(ops.adjoint(-y_b).blocks):
                 assert np.max(np.abs(got - np.eye(len(got)) * (i == b))) <= 1e-12
             assert abs(sigma - 1.0) <= 1e-12
-        assert ops._block_shifts is shifts
+        assert ops._start[2] is shifts
 
     def test_trace_constraint_gives_one_shift(self):
         ops = min_eig_problem(herm(np.random.default_rng(89), 4)).constraint_set
-        ((b, y_b, sigma),) = ops._block_shifts
+        ((b, y_b, sigma),) = ops._start[2]
         assert b == 0
         assert np.allclose(y_b, [-1.0]) and abs(sigma - 1.0) <= 1e-12
 
     def test_traceless_constraint_gives_none(self):
         p = SdpProblem.from_constraints((2,), None, [(BlockMatrix([SIGMA_Z]), 0.0)])
-        assert p.constraint_set._block_shifts == ()
+        assert p.constraint_set._start[2] == ()
 
     def test_shifted_stop_at_iteration_one(self, monkeypatch):
         from qmemwit import detect, ising
@@ -595,7 +657,7 @@ class TestBlockShifts:
         assert rep.checks["certificate_psd"][1] >= 0
         assert json.loads(json.dumps(sdp.result_to_json(r)))["info"]["certificate_shift"] == shift
 
-        monkeypatch.setattr(sdp.ConstraintSet, "_block_shifts", ())
+        without_block_shifts(monkeypatch)
         plain = sdp.solve(fresh(problem))
         assert plain.status == sdp.INFEASIBLE
         assert plain.info["iterations"] >= 2
@@ -724,34 +786,6 @@ class TestEntries:
         assert ops._entries is ops._entries
 
 
-class TestStartState:
-    """ConstraintSet._start_state: A(I), A*(0) and the scaling of (I, I), read
-    by every solve's iteration 0."""
-
-    def test_is_the_state_computed_afresh(self):
-        from qmemwit import detect
-
-        for ops in (
-            detect._dps2_template((2, 2, 2)).constraint_set,
-            random_problem(np.random.default_rng(107)).constraint_set,
-        ):
-            ax, aty, scaling = ops._start_state
-            assert ax.tobytes() == ops._a_of(identity_blocks(ops)).tobytes()
-            assert all(
-                a.tobytes() == b.tobytes() for a, b in zip(aty, ops._a_adj(np.zeros(ops.m)))
-            )
-            fresh_scaling = zip(*[sdp._nt_scaling(e, e) for e in identity_blocks(ops)])
-            for cached, computed in zip(scaling, fresh_scaling):
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(cached, computed))
-            assert ops._start_state is ops._start_state
-
-    def test_is_read_only(self):
-        ax, aty, scaling = random_problem(np.random.default_rng(109)).constraint_set._start_state
-        for a in (ax, *aty, *(a for part in scaling for a in part)):
-            with pytest.raises(ValueError):
-                a.flat[0] = 2.0
-
-
 class TestEigOracle:
     def test_fifty_random_instances(self):
         # cross-module oracle: optimum of max -Tr(MX) is -lambda_min(M)
@@ -833,9 +867,11 @@ class TestRandomFeasible:
     def test_overflowing_direction_is_rejected_quietly(self, monkeypatch):
         # from its 17th call (iteration 8's v_dir and predictor u) every
         # Cholesky solve returns 1e308: the direction overflows, _finite
-        # rejects it without a warning and the incumbent is optimal
-        self.cho_solve_huge_from(monkeypatch, 17)
+        # rejects it without a warning and the incumbent is optimal.  The
+        # set's start state, with its own solve, is computed before the count
         p = list(random_feasible_problems(11, 9))[8]
+        p.constraint_set._start
+        self.cho_solve_huge_from(monkeypatch, 17)
         r = sdp.solve(p)
         assert r.info["iterations"] == 8
         assert r.status == sdp.OPTIMAL
@@ -847,8 +883,10 @@ class TestRandomFeasible:
         # the 3rd call is iteration 1's v_dir and predictor u: v_dir and
         # denom = (b - g).v_dir overflow before either pass, and the direction
         # is rejected as above
+        p = list(random_feasible_problems(11, 9))[8]
+        p.constraint_set._start
         self.cho_solve_huge_from(monkeypatch, 3)
-        r = sdp.solve(list(random_feasible_problems(11, 9))[8])
+        r = sdp.solve(p)
         assert r.info["iterations"] == 1
         assert r.info["reason"] == "non-finite Newton direction"
 
