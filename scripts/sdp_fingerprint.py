@@ -49,11 +49,11 @@ verdict) and how many were shifted, how many ``dps2`` solves ended at the
 start projection and the total of ``schur_shifts`` (older files lack these
 fields and count none), and a histogram of the iteration differences (B - A), and whether
 the sweep hashes agree (files that both lack them, as older ones do, skip
-that check).  It prints both files' BLAS settings (``unknown`` in files
-that lack them, as older ones do) and flags a mismatch, which explains
-trajectory differences without being one.  It exits with status 1 when an
-entry is missing, differs or changed shape, when a numeric difference
-exceeds --tol, or when a sweep hash differs.
+that check).  It prints both files' BLAS settings and numpy and scipy
+versions (``unknown`` in files that lack them, as older ones do) and flags a
+mismatch of either, which explains trajectory differences without being
+one.  It exits with status 1 when an entry is missing, differs or changed
+shape, when a numeric difference exceeds --tol, or when a sweep hash differs.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ NUMERIC = ("value", "optimum", "certificate_min_eig")
 SWEEP_HASHES = ("sweep_csv_sha1", "sweep_dumps_sha1")
 SHAPE = ("block_dims", "m")
 BLAS_SETTING = ("openblas_num_threads", "cpu_count")
+VERSIONS = ("numpy", "scipy")
 PRINTED = ".12g"           # the precision of the sweep CSV's values
 SWEEP_STRIDE = 30
 H0_J = (0.5, 2.5, 4.5, 6.5, 8.5)
@@ -244,11 +245,14 @@ def compare(file_a: dict, file_b: dict, tol: float) -> bool:
             f"margin (verdict withheld){least}; {shifted} shifted; {started} dps2 solves "
             f"ended at the start projection; {retries} Schur factor retries"
         )
-    settings = [tuple(f.get(k, "unknown") for k in BLAS_SETTING) for f in (file_a, file_b)]
+    settings = [
+        {k: f.get(k, "unknown") for k in BLAS_SETTING + VERSIONS} for f in (file_a, file_b)
+    ]
     for name, setting in zip("AB", settings):
-        print(f"{name}: " + ", ".join(f"{k} {v}" for k, v in zip(BLAS_SETTING, setting)))
-    if settings[0] != settings[1]:
-        print("BLAS settings differ: dps2 trajectories may differ with them")
+        print(f"{name}: " + ", ".join(f"{k} {v}" for k, v in setting.items()))
+    for fields, what in ((BLAS_SETTING, "BLAS settings"), (VERSIONS, "numpy or scipy versions")):
+        if any(settings[0][k] != settings[1][k] for k in fields):
+            print(f"{what} differ: dps2 trajectories may differ with them")
     hist = ", ".join(f"{d:+d}: {n}" for d, n in sorted(iteration_diff.items()))
     print(f"iteration differences (B - A): {hist}")
     for f in SWEEP_HASHES:

@@ -588,17 +588,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "sweep":
         try:
             config = _build_sweep_config(args)
+            # an unusable --out or --dump-sdp fails here, before any point is evaluated
+            if args.dump_sdp:
+                os.makedirs(args.dump_sdp, exist_ok=True)
+            out = open(config.out, "w") if config.out else sys.stdout
         except (OSError, ValueError) as exc:
             sw.error(str(exc))
-        if args.dump_sdp:
-            os.makedirs(args.dump_sdp, exist_ok=True)
         rows = sweep(config, args.dump_sdp)
-        text = rows_to_csv(rows)
-        if config.out:
-            with open(config.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        out.write(rows_to_csv(rows))
+        if out is not sys.stdout:
+            out.close()
         if any(_failed(r.status) for r in rows):
             return EXIT_SOLVER_FAILURE
         return EXIT_OK
@@ -615,8 +614,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     if args.command == "witness":
-        if args.dump_sdp:
-            os.makedirs(args.dump_sdp, exist_ok=True)
+        try:
+            # an unusable --out or --dump-sdp fails here, before the solve; the
+            # --out this creates is removed again unless a witness is written
+            if args.dump_sdp:
+                os.makedirs(args.dump_sdp, exist_ok=True)
+            created = not os.path.exists(args.out)
+            open(args.out, "a").close()
+        except OSError as exc:
+            wt.error(str(exc))
+        payload = None
         try:
             payload = export_witness(args.j, args.h, args.t, args.method, args.out, args.dump_sdp)
         except InconclusivePoint as exc:
@@ -625,6 +632,9 @@ def main(argv: list[str] | None = None) -> int:
         except SolverFailure as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SOLVER_FAILURE
+        finally:
+            if payload is None and created:
+                os.remove(args.out)
         print(f"wrote {args.out}: Tr(ZW) = {payload['value']:.12g}")
         if args.validate:
             z = tl.from_json_dict(payload["operator"])

@@ -8,7 +8,8 @@ checks by forming S from the constraint stacks.  The least eigenvalue of
 that S, the certificate's margin, is reported by ``verify`` alone.  The
 algorithm is a primal-dual path-following interior-point method on the
 homogeneous self-dual embedding, with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector; infeasibility certificates fall out of the same core.
+predictor-corrector, which ``solve`` runs itself for at most MAX_ITERATIONS
+iterations; infeasibility certificates fall out of the same iteration.
 The iteration runs directly on the complex Hermitian blocks, with inner
 products <A, B> = Re Tr(A^H B) (Todd, Toh and Tutuncu, SIAM J. Optim. 8
 (1998), define the Nesterov-Todd direction on Hermitian matrices).  As
@@ -205,6 +206,8 @@ class ConstraintSet:
         for s, d in zip(stacks, self.block_dims):
             if s.shape != (m, d, d):
                 raise ValueError(f"stack shape {s.shape} incompatible with block dim {d}")
+            if not np.isfinite(s).all():
+                raise ValueError("constraint operator is not finite")
             if m and np.max(np.abs(s - s.conj().transpose(0, 2, 1))) > _herm_bound(s):
                 raise ValueError("constraint operator is not Hermitian within tolerance")
         self.stacks = tuple(stacks)
@@ -395,11 +398,16 @@ class SdpProblem:
         return self.constraint_set.block_dims
 
     def __post_init__(self):
-        if self.objective is not None and self.objective.dims != self.block_dims:
-            raise ValueError("objective dims do not match the block structure")
+        if self.objective is not None:
+            if self.objective.dims != self.block_dims:
+                raise ValueError("objective dims do not match the block structure")
+            if not all(np.isfinite(blk).all() for blk in self.objective.blocks):
+                raise ValueError("objective is not finite")
         self.b = np.asarray(self.b, dtype=float)
         if self.b.shape != (self.constraint_set.m,):
             raise ValueError("one right-hand side per constraint required")
+        if not np.isfinite(self.b).all():
+            raise ValueError("right-hand side is not finite")
         real_dim = sum(d * d for d in self.block_dims)
         if self.constraint_set.m > real_dim:
             raise ValueError(
@@ -435,7 +443,7 @@ class SdpResult:
 
 
 # ---------------------------------------------------------------------------
-# interior-point core (complex Hermitian blocks)
+# interior-point helpers (complex Hermitian blocks)
 # ---------------------------------------------------------------------------
 
 
@@ -505,292 +513,87 @@ def _finite(direction) -> bool:
     return all(np.isfinite(p).all() for p in parts)
 
 
-class _Core:
-    """One homogeneous self-dual solve on complex Hermitian blocks."""
-
-    def __init__(self, c_blocks, constraint_set, b, feasibility=False):
-        self.dims = constraint_set.block_dims
-        self.c = c_blocks
-        self.feasibility = feasibility         # no objective: C = 0
-        self.ops = constraint_set
-        self.b = b
-        self.m = len(b)
-        self.n_total = sum(self.dims)
-
-    def solve(self, max_iterations=MAX_ITERATIONS):
-        dims = self.dims
-        x = [np.eye(d, dtype=complex) for d in dims]
-        s = [np.eye(d, dtype=complex) for d in dims]
-        y = np.zeros(self.m)
-        tau, kappa = 1.0, 1.0
-        b, c = self.b, self.c
-        bnorm = 1.0 + np.linalg.norm(b)
-        cnorm = 1.0 + np.sqrt(sum(np.linalg.norm(cb) ** 2 for cb in c))
-
-        best = None
-        best_score = np.inf
-        best_parts = (np.inf, np.inf, np.inf)
-        status = MAX_ITER
-        trajectory: list[tuple] = []
-        info = {"iterations": 0, "trajectory": trajectory, "schur_shifts": 0}
-
-        for it in range(max_iterations):
-            info["iterations"] = it
-            # residuals of the self-dual system
-            ax = self.ops._a_of(x)
-            aty = self.ops._a_adj(y)
-            r_p = b * tau - ax
-            r_d = [c[i] * tau - aty[i] - s[i] for i in range(len(dims))]
-            cx = sum(_dot(c[i], x[i]) for i in range(len(dims)))
-            by = float(b @ y)
-            r_g = kappa + cx - by
-            mu = (sum(_dot(x[i], s[i]) for i in range(len(dims))) + tau * kappa) / (
-                self.n_total + 1
-            )
-
-            # dehomogenized convergence test
-            pres = np.linalg.norm(ax / tau - b) / bnorm
-            dres = (
-                np.sqrt(
-                    sum(
-                        np.linalg.norm(aty[i] / tau + s[i] / tau - c[i]) ** 2
-                        for i in range(len(dims))
-                    )
-                )
-                / cnorm
-            )
-            pobj, dobj = cx / tau, by / tau
-            gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-            score = max(pres, dres, gap)
-            trajectory.append((it, mu, pres, dres, gap, tau, kappa))
-            if score < best_score:
-                best_score = score
-                best_parts = (pres, dres, gap)
-                best = ([xi / tau for xi in x], y / tau)
-            if pres <= 0.1 * FEAS_TOL and dres <= 0.1 * FEAS_TOL and gap <= 0.1 * GAP_TOL:
-                status = OPTIMAL
-                break
-            if len(trajectory) > 12 and best_score > 0.5 * max(trajectory[-12][2:5]):
-                # stalled; fall through to the incumbent-acceptance check below
-                info["reason"] = "progress stalled"
-                break
-
-            # infeasibility certificates from the homogeneous iterate
-            y_hat = self._try_certificate(y, by, tau, kappa, info)
-            if y_hat is not None:
-                return (INFEASIBLE, y_hat, info, best)
-            if tau <= TAU_KAPPA_RATIO * kappa:
-                info["reason"] = "tau collapsed without a verifiable certificate"
-                return (FAILURE, None, info, best)
-
-            # Nesterov-Todd scaling per block
-            if it == 0:
-                # x = s = I, scaled by W = G = G^-1 = I with lv = 1: the set's start factor
-                ws = gs = g_invs = x
-                lvs = [np.ones(d) for d in dims]
-                factor = self.ops._start[0]
-            else:
-                try:
-                    ws, gs, g_invs, lvs = zip(*[_nt_scaling(x[i], s[i]) for i in range(len(dims))])
-                except np.linalg.LinAlgError:
-                    info["reason"] = "iterate has no Cholesky factor"
-                    break
-                factor, retries = _factor(self.ops._schur(ws))
-                info["schur_shifts"] += retries
-            if factor is None:
-                info["reason"] = "Schur complement factorization failed"
-                return (FAILURE, None, info, best)
-            with np.errstate(**_QUIET):
-                # Schur complement pieces shared by both passes
-                wcw = [_sym(ws[i] @ c[i] @ ws[i]) for i in range(len(dims))]
-                g_vec = self.ops._a_of(wcw)
-                h_cc = sum(_dot(c[i], wcw[i]) for i in range(len(dims)))
-                wrdw = [_sym(ws[i] @ r_d[i] @ ws[i]) for i in range(len(dims))]
-                a_wrdw = self.ops._a_of(wrdw)
-
-                def rhs_primal(eta, rc):
-                    """The right-hand side of one pass's Schur system M u = rhs."""
-                    return eta * r_p - self.ops._a_of(rc) + eta * a_wrdw
-
-                # v_dir and the predictor's u (eta = 1, rc = -X) in one two-column solve
-                rc_aff = [-x[i] for i in range(len(dims))]
-                rhs_aff = rhs_primal(1.0, rc_aff)
-                v_dir, u_aff = self._solve_factored(factor, np.array([g_vec + b, rhs_aff]).T).T
-                c_wrdw = sum(_dot(c[i], wrdw[i]) for i in range(len(dims)))
-                b_g = b - g_vec
-                denom = float(b_g @ v_dir) + h_cc + kappa / tau
-
-            if it == 0 and self.feasibility:
-                # C = 0 makes g_vec exactly 0, so v_dir = G^-1 b
-                x_p = self._start_point_stop(v_dir)
-                if x_p is not None:
-                    info["stop"] = "start_projection"
-                    return (OPTIMAL, None, info, (x_p, np.zeros(self.m)))
-
-            def newton(eta, rc, u, rhs_tk):
-                """The direction whose primal Schur solve u = M^-1 rhs_primal(eta, rc) is given."""
-                c_rc = sum(_dot(c[i], rc[i]) for i in range(len(dims)))
-                rhs_g2 = eta * r_g + c_rc - eta * c_wrdw + rhs_tk / tau
-                d_tau = (rhs_g2 - float(b_g @ u)) / denom
-                d_y = u + v_dir * d_tau
-                at_dy = self.ops._a_adj(d_y)
-                d_s = [eta * r_d[i] - at_dy[i] + c[i] * d_tau for i in range(len(dims))]
-                d_x = [_sym(rc[i] - ws[i] @ d_s[i] @ ws[i]) for i in range(len(dims))]
-                d_kappa = (rhs_tk - kappa * d_tau) / tau
-                return d_x, d_y, d_s, d_tau, d_kappa
-
-            def scaled(d_x, d_s):
-                """G^-1 dX G^-H per block, then G^H dS G per block: the scaled direction."""
-                return [gi @ dx @ gi.conj().T for gi, dx in zip(g_invs, d_x)] + [
-                    g.conj().T @ ds @ g for g, ds in zip(gs, d_s)
-                ]
-
-            def step_bound(hats, d_tau, d_kappa):
-                alpha = _scaled_step([*lvs, *lvs], hats)
-                if d_tau < 0:
-                    alpha = min(alpha, -tau / d_tau)
-                if d_kappa < 0:
-                    alpha = min(alpha, -kappa / d_kappa)
-                return alpha
-
-            # predictor (affine) pass
-            with np.errstate(**_QUIET):
-                aff = newton(1.0, rc_aff, u_aff, -tau * kappa)
-            if not _finite(aff):
-                info["reason"] = "non-finite Newton direction"
-                break
-            aff_hats = scaled(aff[0], aff[2])
-            alpha_aff = min(1.0, step_bound(aff_hats, aff[3], aff[4]))
-            mu_aff = (
-                sum(
-                    _dot(x[i] + alpha_aff * aff[0][i], s[i] + alpha_aff * aff[2][i])
-                    for i in range(len(dims))
-                )
-                + (tau + alpha_aff * aff[3]) * (kappa + alpha_aff * aff[4])
-            ) / (self.n_total + 1)
-            sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 1.0 - 1e-10))
-
-            # corrector pass
-            eta = 1.0 - sigma
-            with np.errstate(**_QUIET):
-                rc = []
-                for g, lv, dxa_hat, dsa_hat in zip(gs, lvs, aff_hats, aff_hats[len(dims) :]):
-                    rhat = np.diag(sigma * mu - lv * lv) - _sym(dxa_hat @ dsa_hat)
-                    # Lyapunov solve (V D + D V)/2 = rhat at the diagonal V = diag(lv)
-                    d_hat = rhat / ((lv[:, None] + lv[None, :]) / 2.0)
-                    rc.append(_sym(g @ d_hat @ g.conj().T))
-                rhs_tk = sigma * mu - tau * kappa - aff[3] * aff[4]
-                u = self._solve_factored(factor, rhs_primal(eta, rc))
-                direction = newton(eta, rc, u, rhs_tk)
-            if not _finite(direction):
-                info["reason"] = "non-finite Newton direction"
-                break
-            d_x, d_y, d_s, d_tau, d_kappa = direction
-
-            alpha = min(1.0, STEP_FRACTION * step_bound(scaled(d_x, d_s), d_tau, d_kappa))
-            if not np.isfinite(alpha) or alpha <= 1e-14:
-                info["reason"] = "step length collapsed"
-                break
-
-            x = [_sym(x[i] + alpha * d_x[i]) for i in range(len(dims))]
-            s = [_sym(s[i] + alpha * d_s[i]) for i in range(len(dims))]
-            y = y + alpha * d_y
-            tau += alpha * d_tau
-            kappa += alpha * d_kappa
-
-        if (
-            status != OPTIMAL
-            and best_parts[0] <= FEAS_TOL
-            and best_parts[1] <= FEAS_TOL
-            and best_parts[2] <= GAP_TOL
-        ):
-            # the incumbent already satisfies the result contract
-            status = OPTIMAL
-        if status == OPTIMAL:
-            return (OPTIMAL, None, info, best)
-        y_hat = self._try_certificate(y, float(b @ y), tau, kappa, info)
-        if y_hat is not None:
-            return (INFEASIBLE, y_hat, info, best)
-        info.setdefault("reason", "iteration limit reached")
-        return (MAX_ITER, None, info, best)
-
-    def _start_point_stop(self, v_dir):
-        """X_p = P_0 + A*(v_dir), the projection of the start point onto
-        {A(X) = b} when v_dir = G^-1 b, if every block of X_p has a Cholesky
-        factor and its recomputed primal residual is at most 0.1 FEAS_TOL;
-        else None.  Blocks are tried in order, and the residual only after all."""
-        p_0 = self.ops._start[1]
-        if p_0 is None:
+def _start_point_stop(ops, b, v_dir):
+    """X_p = P_0 + A*(v_dir), the projection of the start point onto
+    {A(X) = b} when v_dir = G^-1 b, if every block of X_p has a Cholesky
+    factor and its recomputed primal residual is at most 0.1 FEAS_TOL;
+    else None.  Blocks are tried in order, and the residual only after all."""
+    p_0 = ops._start[1]
+    if p_0 is None:
+        return None
+    with np.errstate(**_QUIET):
+        x_p = [p + d for p, d in zip(p_0, ops._a_adj(v_dir))]
+        try:
+            for blk in x_p:
+                np.linalg.cholesky(blk)
+        except np.linalg.LinAlgError:
             return None
-        with np.errstate(**_QUIET):
-            x_p = [p + d for p, d in zip(p_0, self.ops._a_adj(v_dir))]
-            try:
-                for blk in x_p:
-                    np.linalg.cholesky(blk)
-            except np.linalg.LinAlgError:
-                return None
-            pres = np.linalg.norm(self.ops._a_of(x_p) - self.b) / (1.0 + np.linalg.norm(self.b))
-        return x_p if pres <= 0.1 * FEAS_TOL else None
+        pres = np.linalg.norm(ops._a_of(x_p) - b) / (1.0 + np.linalg.norm(b))
+    return x_p if pres <= 0.1 * FEAS_TOL else None
 
-    def _solve_factored(self, factor, rhs):
-        """M^-1 rhs through the Cholesky factor, for one column or an (m, k) rhs."""
-        if self.m == 0:
-            return np.zeros(rhs.shape)
-        # a non-finite rhs yields a non-finite direction, which solve() rejects
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
-    def _try_certificate(self, y, by, tau, kappa, info):
-        """A Farkas certificate from the iterate's y, or None.
+def _solve_factored(factor, rhs):
+    """M^-1 rhs through the Cholesky factor, for one column or an (m, k) rhs."""
+    if len(rhs) == 0:
+        return np.zeros(rhs.shape)
+    # a non-finite rhs yields a non-finite direction, which solve() rejects
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
-        The plain test: y_hat = y / b.y, if S = -A*(y_hat) passes CERT_TOL
-        and, unless tau has collapsed, is PSD.  Failing that, the shifted
-        test: when every block with lambda_b = lambda_min(S on block b) < 0
-        has a block shift (``ConstraintSet._start``), y' = y_hat +
-        sum_b t_b y_b with t_b sigma_b = SHIFT_SLACK max(0, -lambda_b) +
-        CERT_TOL lifts every block above zero by Weyl's inequality, and
-        y' / b.y' is returned when b.y' > 0, its recomputed b.y is 1 to
-        SHIFT_NORM_TOL and its recomputed S is PSD; the t_b go to
-        info["certificate_shift"].  Either way the result meets the
-        INFEASIBLE contract, b.y = 1 and S >= 0, which only an infeasible
-        problem admits, so the shift ends a solve earlier but never changes
-        its verdict.
-        """
-        if by <= 0:
-            return None
-        y_hat = y / by
-        s_hat = [-blk for blk in self.ops._a_adj(y_hat)]
-        lams = _least_eigs(s_hat)
-        lam = min(lams)
-        norm = max(float(np.max(np.abs(blk))) for blk in s_hat)
-        if lam >= -CERT_TOL * (1.0 + norm) and (tau <= TAU_KAPPA_RATIO * kappa or lam >= 0.0):
-            return y_hat
-        shifts = self.ops._start[2]
-        shifted = {b for b, _, _ in shifts}
-        if any(lam_b < 0 and b not in shifted for b, lam_b in enumerate(lams)):
-            return None
-        t = [0.0] * len(self.dims)
-        y_shift = y_hat.copy()
-        for b, y_b, sigma in shifts:
-            t[b] = (SHIFT_SLACK * max(0.0, -lams[b]) + CERT_TOL) / sigma
-            y_shift += t[b] * y_b
-        by_shift = float(self.b @ y_shift)
-        if by_shift <= 0:
-            return None
-        y_shift /= by_shift
-        if abs(float(self.b @ y_shift) - 1.0) > SHIFT_NORM_TOL:
-            return None
-        if min(_least_eigs([-blk for blk in self.ops._a_adj(y_shift)])) < 0:
-            return None
-        info["certificate_shift"] = t
-        return y_shift
+
+def _try_certificate(ops, b, y, by, tau, kappa, info):
+    """A Farkas certificate from the iterate's y, or None.
+
+    The plain test: y_hat = y / b.y, if S = -A*(y_hat) passes CERT_TOL
+    and, unless tau has collapsed, is PSD.  Failing that, the shifted
+    test: when every block with lambda_b = lambda_min(S on block b) < 0
+    has a block shift (``ConstraintSet._start``), y' = y_hat +
+    sum_b t_b y_b with t_b sigma_b = SHIFT_SLACK max(0, -lambda_b) +
+    CERT_TOL lifts every block above zero by Weyl's inequality, and
+    y' / b.y' is returned when b.y' > 0, its recomputed b.y is 1 to
+    SHIFT_NORM_TOL and its recomputed S is PSD; the t_b go to
+    info["certificate_shift"].  Either way the result meets the
+    INFEASIBLE contract, b.y = 1 and S >= 0, which only an infeasible
+    problem admits, so the shift ends a solve earlier but never changes
+    its verdict.
+    """
+    if by <= 0:
+        return None
+    y_hat = y / by
+    s_hat = [-blk for blk in ops._a_adj(y_hat)]
+    lams = _least_eigs(s_hat)
+    lam = min(lams)
+    norm = max(float(np.max(np.abs(blk))) for blk in s_hat)
+    if lam >= -CERT_TOL * (1.0 + norm) and (tau <= TAU_KAPPA_RATIO * kappa or lam >= 0.0):
+        return y_hat
+    shifts = ops._start[2]
+    shifted = {i for i, _, _ in shifts}
+    if any(lam_i < 0 and i not in shifted for i, lam_i in enumerate(lams)):
+        return None
+    t = [0.0] * len(lams)
+    y_shift = y_hat.copy()
+    for i, y_i, sigma in shifts:
+        t[i] = (SHIFT_SLACK * max(0.0, -lams[i]) + CERT_TOL) / sigma
+        y_shift += t[i] * y_i
+    by_shift = float(b @ y_shift)
+    if by_shift <= 0:
+        return None
+    y_shift /= by_shift
+    if abs(float(b @ y_shift) - 1.0) > SHIFT_NORM_TOL:
+        return None
+    if min(_least_eigs([-blk for blk in ops._a_adj(y_shift)])) < 0:
+        return None
+    info["certificate_shift"] = t
+    return y_shift
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
-def solve(problem: SdpProblem, max_iterations: int = MAX_ITERATIONS) -> SdpResult:
-    """Solve an SDP; deterministic given identical inputs.
+def solve(problem: SdpProblem) -> SdpResult:
+    """Solve an SDP by the homogeneous self-dual iteration on its complex
+    Hermitian blocks, for at most MAX_ITERATIONS iterations; deterministic
+    given identical inputs.
 
     Never silently returns a wrong answer: hitting the iteration cap or a
     numerical breakdown is reported in the status.  ``info`` holds the
@@ -799,21 +602,201 @@ def solve(problem: SdpProblem, max_iterations: int = MAX_ITERATIONS) -> SdpResul
     diagonal-shift retries (``schur_shifts``), ``stop`` when a feasibility
     solve ended at its start projection, and the reason for any failure.
     """
-    c = problem.objective or BlockMatrix.zeros(problem.block_dims)
+    objective = problem.objective or BlockMatrix.zeros(problem.block_dims)
     ops = problem.constraint_set
-    core = _Core(c.blocks, ops, problem.b, feasibility=problem.objective is None)
-    status, y_hat, info, best = core.solve(max_iterations=max_iterations)
+    b, c, dims = problem.b, objective.blocks, ops.block_dims
+    m = len(b)
+    n_total = sum(dims)
+    x = [np.eye(d, dtype=complex) for d in dims]
+    s = [np.eye(d, dtype=complex) for d in dims]
+    y = np.zeros(m)
+    tau, kappa = 1.0, 1.0
+    bnorm = 1.0 + np.linalg.norm(b)
+    cnorm = 1.0 + np.sqrt(sum(np.linalg.norm(cb) ** 2 for cb in c))
 
-    if status == OPTIMAL and best is not None:
-        xb, yb = best
-        x = BlockMatrix(xb, require_hermitian=False)
-        return SdpResult(OPTIMAL, x, yb, c.inner(x), info=info)
+    best = None
+    best_score = np.inf
+    best_parts = (np.inf, np.inf, np.inf)
+    trajectory: list[tuple] = []
+    info = {"iterations": 0, "trajectory": trajectory, "schur_shifts": 0}
 
-    if status == INFEASIBLE:
+    def optimal(xb, yb) -> SdpResult:
+        x_opt = BlockMatrix(xb, require_hermitian=False)
+        return SdpResult(OPTIMAL, x_opt, yb, objective.inner(x_opt), info=info)
+
+    def without_x(status) -> SdpResult:
+        """A failed solve: no X, and y of the best iterate, for inspection only."""
+        return SdpResult(status, None, np.zeros(m) if best is None else best[1], np.nan, info=info)
+
+    for it in range(MAX_ITERATIONS):
+        info["iterations"] = it
+        # residuals of the self-dual system
+        ax = ops._a_of(x)
+        aty = ops._a_adj(y)
+        r_p = b * tau - ax
+        r_d = [c[i] * tau - aty[i] - s[i] for i in range(len(dims))]
+        cx = sum(_dot(c[i], x[i]) for i in range(len(dims)))
+        by = float(b @ y)
+        r_g = kappa + cx - by
+        mu = (sum(_dot(x[i], s[i]) for i in range(len(dims))) + tau * kappa) / (n_total + 1)
+
+        # dehomogenized convergence test
+        pres = np.linalg.norm(ax / tau - b) / bnorm
+        dres = (
+            np.sqrt(
+                sum(
+                    np.linalg.norm(aty[i] / tau + s[i] / tau - c[i]) ** 2
+                    for i in range(len(dims))
+                )
+            )
+            / cnorm
+        )
+        pobj, dobj = cx / tau, by / tau
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        score = max(pres, dres, gap)
+        trajectory.append((it, mu, pres, dres, gap, tau, kappa))
+        if score < best_score:
+            best_score = score
+            best_parts = (pres, dres, gap)
+            best = ([xi / tau for xi in x], y / tau)
+        if pres <= 0.1 * FEAS_TOL and dres <= 0.1 * FEAS_TOL and gap <= 0.1 * GAP_TOL:
+            return optimal(*best)
+        if len(trajectory) > 12 and best_score > 0.5 * max(trajectory[-12][2:5]):
+            # stalled; fall through to the incumbent-acceptance check below
+            info["reason"] = "progress stalled"
+            break
+
+        # infeasibility certificates from the homogeneous iterate
+        y_hat = _try_certificate(ops, b, y, by, tau, kappa, info)
+        if y_hat is not None:
+            return SdpResult(INFEASIBLE, None, y_hat, np.inf, info=info)
+        if tau <= TAU_KAPPA_RATIO * kappa:
+            info["reason"] = "tau collapsed without a verifiable certificate"
+            return without_x(FAILURE)
+
+        # Nesterov-Todd scaling per block
+        if it == 0:
+            # x = s = I, scaled by W = G = G^-1 = I with lv = 1: the set's start factor
+            ws = gs = g_invs = x
+            lvs = [np.ones(d) for d in dims]
+            factor = ops._start[0]
+        else:
+            try:
+                ws, gs, g_invs, lvs = zip(*[_nt_scaling(x[i], s[i]) for i in range(len(dims))])
+            except np.linalg.LinAlgError:
+                info["reason"] = "iterate has no Cholesky factor"
+                break
+            factor, retries = _factor(ops._schur(ws))
+            info["schur_shifts"] += retries
+        if factor is None:
+            info["reason"] = "Schur complement factorization failed"
+            return without_x(FAILURE)
+        with np.errstate(**_QUIET):
+            # Schur complement pieces shared by both passes
+            wcw = [_sym(ws[i] @ c[i] @ ws[i]) for i in range(len(dims))]
+            g_vec = ops._a_of(wcw)
+            h_cc = sum(_dot(c[i], wcw[i]) for i in range(len(dims)))
+            wrdw = [_sym(ws[i] @ r_d[i] @ ws[i]) for i in range(len(dims))]
+            a_wrdw = ops._a_of(wrdw)
+
+            def rhs_primal(eta, rc):
+                """The right-hand side of one pass's Schur system M u = rhs."""
+                return eta * r_p - ops._a_of(rc) + eta * a_wrdw
+
+            # v_dir and the predictor's u (eta = 1, rc = -X) in one two-column solve
+            rc_aff = [-x[i] for i in range(len(dims))]
+            rhs_aff = rhs_primal(1.0, rc_aff)
+            v_dir, u_aff = _solve_factored(factor, np.array([g_vec + b, rhs_aff]).T).T
+            c_wrdw = sum(_dot(c[i], wrdw[i]) for i in range(len(dims)))
+            b_g = b - g_vec
+            denom = float(b_g @ v_dir) + h_cc + kappa / tau
+
+        if it == 0 and problem.objective is None:
+            # C = 0 makes g_vec exactly 0, so v_dir = G^-1 b
+            x_p = _start_point_stop(ops, b, v_dir)
+            if x_p is not None:
+                info["stop"] = "start_projection"
+                return optimal(x_p, np.zeros(m))
+
+        def newton(eta, rc, u, rhs_tk):
+            """The direction whose primal Schur solve u = M^-1 rhs_primal(eta, rc) is given."""
+            c_rc = sum(_dot(c[i], rc[i]) for i in range(len(dims)))
+            rhs_g2 = eta * r_g + c_rc - eta * c_wrdw + rhs_tk / tau
+            d_tau = (rhs_g2 - float(b_g @ u)) / denom
+            d_y = u + v_dir * d_tau
+            at_dy = ops._a_adj(d_y)
+            d_s = [eta * r_d[i] - at_dy[i] + c[i] * d_tau for i in range(len(dims))]
+            d_x = [_sym(rc[i] - ws[i] @ d_s[i] @ ws[i]) for i in range(len(dims))]
+            d_kappa = (rhs_tk - kappa * d_tau) / tau
+            return d_x, d_y, d_s, d_tau, d_kappa
+
+        def scaled(d_x, d_s):
+            """G^-1 dX G^-H per block, then G^H dS G per block: the scaled direction."""
+            return [gi @ dx @ gi.conj().T for gi, dx in zip(g_invs, d_x)] + [
+                g.conj().T @ ds @ g for g, ds in zip(gs, d_s)
+            ]
+
+        def step_bound(hats, d_tau, d_kappa):
+            alpha = _scaled_step([*lvs, *lvs], hats)
+            if d_tau < 0:
+                alpha = min(alpha, -tau / d_tau)
+            if d_kappa < 0:
+                alpha = min(alpha, -kappa / d_kappa)
+            return alpha
+
+        # predictor (affine) pass
+        with np.errstate(**_QUIET):
+            aff = newton(1.0, rc_aff, u_aff, -tau * kappa)
+        if not _finite(aff):
+            info["reason"] = "non-finite Newton direction"
+            break
+        aff_hats = scaled(aff[0], aff[2])
+        alpha_aff = min(1.0, step_bound(aff_hats, aff[3], aff[4]))
+        mu_aff = (
+            sum(
+                _dot(x[i] + alpha_aff * aff[0][i], s[i] + alpha_aff * aff[2][i])
+                for i in range(len(dims))
+            )
+            + (tau + alpha_aff * aff[3]) * (kappa + alpha_aff * aff[4])
+        ) / (n_total + 1)
+        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 1.0 - 1e-10))
+
+        # corrector pass
+        eta = 1.0 - sigma
+        with np.errstate(**_QUIET):
+            rc = []
+            for g, lv, dxa_hat, dsa_hat in zip(gs, lvs, aff_hats, aff_hats[len(dims) :]):
+                rhat = np.diag(sigma * mu - lv * lv) - _sym(dxa_hat @ dsa_hat)
+                # Lyapunov solve (V D + D V)/2 = rhat at the diagonal V = diag(lv)
+                d_hat = rhat / ((lv[:, None] + lv[None, :]) / 2.0)
+                rc.append(_sym(g @ d_hat @ g.conj().T))
+            rhs_tk = sigma * mu - tau * kappa - aff[3] * aff[4]
+            u = _solve_factored(factor, rhs_primal(eta, rc))
+            direction = newton(eta, rc, u, rhs_tk)
+        if not _finite(direction):
+            info["reason"] = "non-finite Newton direction"
+            break
+        d_x, d_y, d_s, d_tau, d_kappa = direction
+
+        alpha = min(1.0, STEP_FRACTION * step_bound(scaled(d_x, d_s), d_tau, d_kappa))
+        if not np.isfinite(alpha) or alpha <= 1e-14:
+            info["reason"] = "step length collapsed"
+            break
+
+        x = [_sym(x[i] + alpha * d_x[i]) for i in range(len(dims))]
+        s = [_sym(s[i] + alpha * d_s[i]) for i in range(len(dims))]
+        y = y + alpha * d_y
+        tau += alpha * d_tau
+        kappa += alpha * d_kappa
+
+    if best_parts[0] <= FEAS_TOL and best_parts[1] <= FEAS_TOL and best_parts[2] <= GAP_TOL:
+        # the incumbent already satisfies the result contract
+        return optimal(*best)
+    y_hat = _try_certificate(ops, b, y, float(b @ y), tau, kappa, info)
+    if y_hat is not None:
         return SdpResult(INFEASIBLE, None, y_hat, np.inf, info=info)
-
-    y_last = best[1] if best is not None else np.zeros(ops.m)
-    return SdpResult(status, None, y_last, np.nan, info=info)
+    info.setdefault("reason", "iteration limit reached")
+    return without_x(MAX_ITER)
 
 
 @dataclass

@@ -560,6 +560,43 @@ class TestDumpSdp:
         assert json.dumps(sdp.result_to_json(replayed)) == json.dumps(payload["result"])
 
 
+class TestUnusableOutput:
+    """An --out or --dump-sdp that cannot be written is a usage error found
+    before any point is evaluated."""
+
+    SWEEP = ["sweep", "--j-range", "1:1:1", "--h-range", "1:1:1"]
+    WITNESS = ["witness", "--j", "1", "--h", "1"]
+
+    @pytest.fixture(autouse=True)
+    def no_evaluation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(cli, "sweep", fail)
+        monkeypatch.setattr(cli, "export_witness", fail)
+
+    @staticmethod
+    def assert_usage_error(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [SWEEP, WITNESS], ids=["sweep", "witness"])
+    def test_out_in_a_missing_directory(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "x.csv"
+        self.assert_usage_error([*command, "--out", str(out)], capsys)
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", [SWEEP, WITNESS], ids=["sweep", "witness"])
+    def test_dump_sdp_naming_a_file(self, tmp_path, capsys, command):
+        dump = tmp_path / "dumps"
+        dump.write_text("")
+        out = tmp_path / "out"
+        self.assert_usage_error([*command, "--out", str(out), "--dump-sdp", str(dump)], capsys)
+        assert not out.exists()
+
+
 class TestUnverified:
     @pytest.fixture
     def failing_verify(self, monkeypatch):

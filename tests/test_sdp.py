@@ -80,6 +80,35 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             SdpProblem.from_constraints((2,), None, cons)
 
+    @staticmethod
+    def spoil(data, where, value):
+        if where == "b":
+            data["b"][0] = value
+        elif where == "constraint":
+            data["constraints"][0]["re"][0] = value
+        else:
+            data["objective"][0]["re"][0][0] = value
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [("b", "NaN"), ("constraint", "NaN"), ("constraint", "Infinity"), ("objective", "NaN")],
+    )
+    def test_non_finite_data_rejected(self, where, value):
+        # json reads NaN and Infinity, and a NaN passes the Hermitian checks
+        data = TestSerialization.witness_dump()
+        self.spoil(data, where, json.loads(value))
+        with pytest.raises(ValueError, match="not finite"):
+            sdp.problem_from_json(data)
+
+    def test_non_finite_restriction_rejected(self):
+        from qmemwit import detect, ising
+        from qmemwit import tensorlinalg as tl
+
+        w = ising.process_matrix(1.0, 1.0, 1.0)
+        a_op = tl.TensorOperator(w.op.space, np.eye(8, dtype=complex))
+        with pytest.raises(ValueError, match="not finite"):
+            detect.witness_sdp(w, constraints=[(a_op, float("nan"))])
+
 
 class TestSolveExamples:
     def test_diagonal_objective(self):
@@ -161,10 +190,30 @@ class TestSolveExamples:
         assert r.info["reason"] == "iterate has no Cholesky factor"
         assert sdp.verify(p, r).ok == (r.status == sdp.OPTIMAL)
 
-    def test_iteration_cap_reported(self):
+    @pytest.mark.parametrize("objective", [BlockMatrix([np.eye(3), np.diag([1.0, 2.0])]), None])
+    def test_without_constraints(self, objective):
+        p = SdpProblem.from_constraints((3, 2), objective, [])
+        r = sdp.solve(p)
+        assert r.status == sdp.OPTIMAL
+        assert r.y.shape == (0,)
+        assert sdp.verify(p, r).ok
+
+    def test_zero_iterations(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 0)
+        p = bounded_functional_problem(SIGMA_Z)
+        r = sdp.solve(p)
+        assert r.status == sdp.MAX_ITER
+        assert r.x is None
+        assert r.y.tobytes() == np.zeros(p.constraint_set.m).tobytes()
+        assert np.isnan(r.objective_value)
+        assert r.info["reason"] == "iteration limit reached"
+        assert not sdp.verify(p, r).ok
+
+    def test_iteration_cap_reported(self, monkeypatch):
         rng = np.random.default_rng(0)
         p = min_eig_problem(herm(rng, 6))
-        r = sdp.solve(p, max_iterations=1)
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)
+        r = sdp.solve(p)
         assert r.status in (sdp.MAX_ITER, sdp.FAILURE)
         assert r.x is None
 
@@ -1023,10 +1072,12 @@ class TestSerialization:
         assert data["status"] == sdp.OPTIMAL
         assert len(data["y"]) == 1
 
-    def test_trajectory_has_a_row_per_iteration_entered(self):
+    def test_trajectory_has_a_row_per_iteration_entered(self, monkeypatch):
         rng = np.random.default_rng(37)
         problems = [min_eig_problem(herm(rng, 3)), bounded_functional_problem(SIGMA_Z)]
-        results = [sdp.solve(p) for p in problems] + [sdp.solve(problems[0], max_iterations=2)]
+        results = [sdp.solve(p) for p in problems]
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+        results.append(sdp.solve(problems[0]))
         assert [r.status for r in results] == [sdp.OPTIMAL, sdp.INFEASIBLE, sdp.MAX_ITER]
         for r in results:
             trajectory = r.info["trajectory"]
