@@ -43,7 +43,7 @@ def main():
         svg_path = os.path.join(args.outdir, f"{stem}.svg")
         with open(csv_path, "w") as fh:
             fh.write(cli.rows_to_csv(subset))
-        cli.render_heatmap(subset, "value", svg_path)
+        cli.render_heatmap(subset, svg_path)
         print(f"wrote {csv_path} and {svg_path}")
 
 

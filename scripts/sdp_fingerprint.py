@@ -18,12 +18,12 @@ iteration path), ``x_sha1`` (the SHA-1 of the bytes of the result's X
 blocks, None for a result without X), the reported value, for
 ``witness_sdp`` the SDP optimum and, for an infeasible ``dps2`` solve,
 ``certificate_min_eig``: the least eigenvalue of the Farkas certificate's
-S = -A*(y), as ``sdp.verify`` forms it from the constraint stacks (older files hold the solver's own figure, which
-was the same number) and ``certificate_shifted``: whether the solver's
-shifted stop test produced that certificate (``certificate_shift`` in the
-result's info), and the result's ``stop`` (``start_projection`` for a
-feasibility solve that ended at iteration 0, else None) and ``schur_shifts``
-(the diagonal-shift retries of its Schur factorizations).
+S = -A*(y), as ``sdp.verify`` forms it from the constraint stacks, and
+``certificate_shifted``: whether the solver's shifted stop test produced
+that certificate (``certificate_shift`` in the result's info), and the
+result's ``stop`` (``start_projection`` for a feasibility solve that ended
+at iteration 0, else None) and ``schur_shifts`` (the diagonal-shift
+retries of its Schur factorizations).
 The file also holds ``sweep_csv_sha1`` and ``sweep_dumps_sha1``: the SHA-1 of
 the CSV of ``cli.sweep`` on the stride-30 grid with every method in
 ``cli.METHODS``, and of the sorted names and bytes of the SDP dumps that
@@ -34,26 +34,24 @@ trajectories differ between one and two BLAS threads.
 ``qmemwit`` is imported from the environment, so pointing PYTHONPATH at
 another checkout's ``src`` fingerprints that checkout.
 
-The second form matches the entries of A and B by (method, J, h) and prints
-every entry whose verdict, status, verification, iteration count,
-trajectory_sha1 or x_sha1 differs (files that lack x_sha1, as older ones
-do, read None on both sides), except that a change of problem shape is
-reported once per method and pair of shapes, with its entries, in place of
-their trajectory_sha1 and x_sha1 mismatches (files that lack the shape, as
-older ones do, skip that check), the largest difference of value, optimum and
-certificate_min_eig per method (a field absent from both entries, as in
-older files, is skipped), per method how many values differ when printed
-``%.12g``, the precision of the sweep CSV, per file how many ``dps2``
-certificates have a negative margin (certificate_min_eig < 0, a withheld
-verdict) and how many were shifted, how many ``dps2`` solves ended at the
-start projection and the total of ``schur_shifts`` (older files lack these
-fields and count none), and a histogram of the iteration differences (B - A), and whether
-the sweep hashes agree (files that both lack them, as older ones do, skip
-that check).  It prints both files' BLAS settings and numpy and scipy
-versions (``unknown`` in files that lack them, as older ones do) and flags a
-mismatch of either, which explains trajectory differences without being
-one.  It exits with status 1 when an entry is missing, differs or changed
-shape, when a numeric difference exceeds --tol, or when a sweep hash differs.
+The second form first requires every field that the first form writes, in
+each file and in each of its records, and names each one missing.  It
+matches the entries of A and B by (method, J, h) and prints every entry
+whose verdict, status, verification, iteration count, trajectory_sha1 or
+x_sha1 differs, except that a change of problem shape is reported once per
+method and pair of shapes, with its entries, in place of their
+trajectory_sha1 and x_sha1 mismatches, the largest difference of value,
+optimum and certificate_min_eig per method, per method how many values
+differ when printed ``%.12g``, the precision of the sweep CSV, per file how
+many ``dps2`` certificates have a negative margin (certificate_min_eig < 0,
+a withheld verdict) and how many were shifted, how many ``dps2`` solves
+ended at the start projection and the total of ``schur_shifts``, a
+histogram of the iteration differences (B - A), and whether the sweep
+hashes agree.  It prints both files' BLAS settings and numpy and scipy
+versions and flags a mismatch of either, which explains trajectory
+differences without being one.  It exits with status 1 when a field is
+missing, when an entry is missing, differs or changed shape, when a numeric
+difference exceeds --tol, or when a sweep hash differs.
 """
 
 from __future__ import annotations
@@ -74,6 +72,11 @@ SWEEP_HASHES = ("sweep_csv_sha1", "sweep_dumps_sha1")
 SHAPE = ("block_dims", "m")
 BLAS_SETTING = ("openblas_num_threads", "cpu_count")
 VERSIONS = ("numpy", "scipy")
+RECORD_FIELDS = (
+    "J", "h", "method", *SHAPE, *DISCRETE, *NUMERIC,
+    "certificate_shifted", "stop", "schur_shifts",
+)
+FILE_FIELDS = (*VERSIONS, "seconds", *BLAS_SETTING, *SWEEP_HASHES, "records")
 PRINTED = ".12g"           # the precision of the sweep CSV's values
 SWEEP_STRIDE = 30
 H0_J = (0.5, 2.5, 4.5, 6.5, 8.5)
@@ -170,13 +173,24 @@ def _key(r: dict) -> tuple:
     return (r["method"], r["J"], r["h"])
 
 
-def _shape(r: dict) -> str | None:
-    if any(f not in r for f in SHAPE):
-        return None
+def _shape(r: dict) -> str:
     return f"blocks {tuple(r['block_dims'])}, m = {r['m']}"
 
 
+def _missing_fields(name: str, data: dict) -> list[str]:
+    """One line per field of the first form that the file or its records lack."""
+    lines = [f"{name}: no field {f}" for f in FILE_FIELDS if f not in data]
+    lacking = collections.Counter(
+        f for r in data.get("records", []) for f in RECORD_FIELDS if f not in r
+    )
+    return lines + [f"{name}: {n} records lack field {f}" for f, n in lacking.items()]
+
+
 def compare(file_a: dict, file_b: dict, tol: float) -> bool:
+    missing_fields = _missing_fields("A", file_a) + _missing_fields("B", file_b)
+    if missing_fields:
+        print("\n".join(missing_fields + ["DIFFERENT"]))
+        return False
     a, b = file_a["records"], file_b["records"]
     by_a, by_b = {_key(r): r for r in a}, {_key(r): r for r in b}
     ok = True
@@ -194,21 +208,21 @@ def compare(file_a: dict, file_b: dict, tol: float) -> bool:
     for k in sorted(by_a.keys() & by_b.keys()):
         ra, rb = by_a[k], by_b[k]
         counts[k[0]] += 1
-        printed[k[0]] += _printed(ra.get("value")) != _printed(rb.get("value"))
+        printed[k[0]] += _printed(ra["value"]) != _printed(rb["value"])
         shapes = (_shape(ra), _shape(rb))
-        diff = [f for f in DISCRETE if ra.get(f) != rb.get(f)]
-        if None not in shapes and shapes[0] != shapes[1]:
+        diff = [f for f in DISCRETE if ra[f] != rb[f]]
+        if shapes[0] != shapes[1]:
             # a problem of another shape takes another path: the shape change,
             # reported once below, stands for its digest mismatches
             reshaped[(k[0], *shapes)].append(k[1:])
             diff = [f for f in diff if f not in DIGESTS]
         if diff:
             ok = False
-            print(f"mismatch {k}: " + ", ".join(f"{f} {ra.get(f)!r} -> {rb.get(f)!r}" for f in diff))
+            print(f"mismatch {k}: " + ", ".join(f"{f} {ra[f]!r} -> {rb[f]!r}" for f in diff))
         if ra["iterations"] is not None and rb["iterations"] is not None:
             iteration_diff[rb["iterations"] - ra["iterations"]] += 1
         for f in NUMERIC:
-            va, vb = ra.get(f), rb.get(f)
+            va, vb = ra[f], rb[f]
             if va is None or vb is None:
                 if (va is None) != (vb is None):
                     ok = False
@@ -231,23 +245,19 @@ def compare(file_a: dict, file_b: dict, tol: float) -> bool:
         if max(w.values()) > tol:
             ok = False
     for name, records in (("A", a), ("B", b)):
-        margins = [r.get("certificate_min_eig") for r in records]
+        margins = [r["certificate_min_eig"] for r in records]
         margins = [s for s in margins if s is not None]
         negative = sum(s < 0 for s in margins)
         least = f", least {min(margins):.2e}" if margins else ""
-        shifted = sum(bool(r.get("certificate_shifted")) for r in records if r["method"] == "dps2")
-        started = sum(
-            r.get("stop") == "start_projection" for r in records if r["method"] == "dps2"
-        )
-        retries = sum(r.get("schur_shifts") or 0 for r in records)
+        shifted = sum(r["certificate_shifted"] for r in records if r["method"] == "dps2")
+        started = sum(r["stop"] == "start_projection" for r in records if r["method"] == "dps2")
+        retries = sum(r["schur_shifts"] or 0 for r in records)
         print(
             f"{name}: {negative} of {len(margins)} dps2 certificates have a negative "
             f"margin (verdict withheld){least}; {shifted} shifted; {started} dps2 solves "
             f"ended at the start projection; {retries} Schur factor retries"
         )
-    settings = [
-        {k: f.get(k, "unknown") for k in BLAS_SETTING + VERSIONS} for f in (file_a, file_b)
-    ]
+    settings = [{k: f[k] for k in BLAS_SETTING + VERSIONS} for f in (file_a, file_b)]
     for name, setting in zip("AB", settings):
         print(f"{name}: " + ", ".join(f"{k} {v}" for k, v in setting.items()))
     for fields, what in ((BLAS_SETTING, "BLAS settings"), (VERSIONS, "numpy or scipy versions")):
@@ -256,10 +266,9 @@ def compare(file_a: dict, file_b: dict, tol: float) -> bool:
     hist = ", ".join(f"{d:+d}: {n}" for d, n in sorted(iteration_diff.items()))
     print(f"iteration differences (B - A): {hist}")
     for f in SWEEP_HASHES:
-        if f in file_a or f in file_b:
-            same = file_a.get(f) == file_b.get(f)
-            ok = ok and same
-            print(f"{f}: {'same' if same else 'DIFFERS'}")
+        same = file_a[f] == file_b[f]
+        ok = ok and same
+        print(f"{f}: {'same' if same else 'DIFFERS'}")
     print("identical within tolerance" if ok else "DIFFERENT")
     return ok
 
@@ -280,6 +289,9 @@ def main(argv=None) -> int:
         a, b = (_load(path) for path in args.compare)
         return 0 if compare(a, b, args.tol) else 1
 
+    # read before qmemwit is imported: its default of one thread would hide
+    # an unset variable, under which numpy, loaded first, runs its own count
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     import numpy as np
     import scipy
 
@@ -290,7 +302,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "seconds": round(time.perf_counter() - t0, 1),
-        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+        "openblas_num_threads": threads,
         "cpu_count": os.cpu_count(),
         **hashes,
         "records": records,

@@ -102,8 +102,8 @@ def process_matrices(J: float, hs, t: float) -> tuple[np.ndarray, list[str | Non
         vals, vecs = np.linalg.eigh(ham)
         phases = np.exp(-1j * t * vals)
         u = (vecs * phases[:, None, :]) @ _dagger(vecs)
-    # not "> 1e-9": a NaN entry must fail, as it does in tl.is_unitary
-    unitary = _max_abs(u @ _dagger(u) - np.eye(4)) <= 1e-9
+    # not "> UNITARY_TOL": a NaN entry must fail, as it does in tl.is_unitary
+    unitary = _max_abs(u @ _dagger(u) - np.eye(4)) <= tl.UNITARY_TOL
     errors = [None if ok else _NOT_UNITARY for ok in unitary]
     # Choi operator of U on (A_O, E_I, B_I, E_O): vec (j, a) = u[a, j]
     vec = u.swapaxes(-1, -2).reshape(n, 16)

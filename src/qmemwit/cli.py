@@ -2,7 +2,7 @@
 
 Commands:
   sweep    evaluate detection methods over a (J, h) grid, emit CSV
-  heatmap  render a sweep CSV column as a static SVG heatmap
+  heatmap  render a sweep CSV's value column as a static SVG heatmap
   witness  export the witness found at one parameter point as JSON
   verify   run the full acceptance suite
 
@@ -256,7 +256,6 @@ def _fmt(x: float) -> str:
 
 _STOPS = ((33, 62, 120), (245, 245, 245), (165, 32, 38))
 _NAN_COLOR = "#808080"
-HEATMAP_COLUMNS = ("value",)
 
 
 def _color(value: float, vmin: float, vmax: float) -> str:
@@ -282,23 +281,21 @@ def _pi_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
     return ticks
 
 
-def render_heatmap(rows: list[SweepRow], column: str, path: str) -> None:
-    """Write a raster-of-rects SVG of one numeric column over the (J, h) grid.
+def render_heatmap(rows: list[SweepRow], path: str) -> None:
+    """Write a raster-of-rects SVG of the value column over the (J, h) grid.
 
     The table must contain a single method; the color scale is linear from
-    the column minimum to maximum, axes carry ticks at multiples of pi, and
+    the minimum value to the maximum, axes carry ticks at multiples of pi, and
     identical input produces identical bytes.
     """
     if not rows:
         raise ValueError("empty table")
-    if column not in HEATMAP_COLUMNS:
-        raise ValueError(f"unknown column {column!r}; renderable columns: {HEATMAP_COLUMNS}")
     methods = sorted({r.method for r in rows})
     if len(methods) != 1:
         raise ValueError(f"table mixes methods {methods}; filter to one before rendering")
     js = sorted({r.J for r in rows})
     hs = sorted({r.h for r in rows})
-    grid = {(r.J, r.h): getattr(r, column) for r in rows}
+    grid = {(r.J, r.h): r.value for r in rows}
     finite = [v for v in grid.values() if not math.isnan(v)]
     vmin = min(finite) if finite else 0.0
     vmax = max(finite) if finite else 1.0
@@ -368,7 +365,7 @@ def render_heatmap(rows: list[SweepRow], column: str, path: str) -> None:
     if vmin < 0.0 < vmax:
         y0 = top + (vmax - 0.0) / (vmax - vmin) * plot_h
         out.append(f'<text x="{legend_x + 20}" y="{y0 + 4:.2f}">0</text>')
-    out.append(f'<text x="{legend_x}" y="{top + plot_h + 18}">{methods[0]}:{column}</text>')
+    out.append(f'<text x="{legend_x}" y="{top + plot_h + 18}">{methods[0]}:value</text>')
     out.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
@@ -565,7 +562,6 @@ def main(argv: list[str] | None = None) -> int:
 
     hm = sub.add_parser("heatmap", help="render a sweep CSV as an SVG heatmap")
     hm.add_argument("--table", required=True, help="CSV produced by sweep")
-    hm.add_argument("--column", choices=HEATMAP_COLUMNS, default="value")
     hm.add_argument("--method", choices=METHODS, help="filter the table to one method")
     hm.add_argument("--out", required=True)
 
@@ -608,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
                 rows = rows_from_csv(fh.read())
             if args.method:
                 rows = [r for r in rows if r.method == args.method]
-            render_heatmap(rows, args.column, args.out)
+            render_heatmap(rows, args.out)
         except (OSError, ValueError) as exc:
             hm.error(str(exc))
         return EXIT_OK

@@ -232,7 +232,7 @@ class _Dps2Template:
     test.
     """
 
-    def __init__(self, dims=(2, 2, 2)):
+    def __init__(self, dims):
         d_ai, d_ao, d_bi = dims
         d_ab = d_ai * d_ao * d_bi
         ext_factors = [(A_I, d_ai), (A_O, d_ao), (B_I, d_bi), (EXTENSION_LABEL, d_ai)]
@@ -287,7 +287,7 @@ class _Dps2Template:
 
 
 @lru_cache(maxsize=4)
-def _dps2_template(dims=(2, 2, 2)) -> _Dps2Template:
+def _dps2_template(dims) -> _Dps2Template:
     return _Dps2Template(dims)
 
 

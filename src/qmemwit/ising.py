@@ -95,12 +95,13 @@ def markovian_points(J_max: float, h_max: float) -> list[tuple[float, float]]:
     return sorted(points)
 
 
-def factorizes(u: TensorOperator, tol: float = 1e-8) -> bool:
-    """True iff the 4x4 unitary has operator Schmidt rank 1 across its two qubits."""
+def factorizes(u: TensorOperator) -> bool:
+    """True iff the 4x4 unitary has operator Schmidt rank 1 across its two
+    qubits, its second Schmidt coefficient at most 1e-8 of its first."""
     if u.space.dims != (2, 2):
         raise ValueError("expected a two-qubit operator")
     if not tl.is_unitary(u):
         raise ValueError("operator is not unitary within tolerance")
     r = u.as_tensor().transpose(0, 2, 1, 3).reshape(4, 4)
     s = np.linalg.svd(r, compute_uv=False)
-    return bool(s[1] <= tol * s[0])
+    return bool(s[1] <= 1e-8 * s[0])

@@ -10,7 +10,7 @@ rule only holds with that pairing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -274,7 +274,7 @@ class CombReport:
     min_eig: float
     trace_error: float
     comb_condition: float
-    psd_floor: float = field(default=0.0)
+    psd_floor: float
 
     @property
     def ok(self) -> bool:

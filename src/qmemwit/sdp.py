@@ -137,17 +137,19 @@ def _herm_bound(a: np.ndarray) -> float:
 
 
 class BlockMatrix:
-    """Hermitian block-diagonal matrix stored as a tuple of dense blocks."""
+    """Block-diagonal matrix stored as a read-only tuple of dense square blocks.
+
+    It does not check Hermiticity: the classes that receive SDP data do,
+    ``SdpProblem`` for the objective and ``ConstraintSet`` for the stacks.
+    """
 
     __slots__ = ("blocks",)
 
-    def __init__(self, blocks: Iterable[np.ndarray], require_hermitian: bool = True):
+    def __init__(self, blocks: Iterable[np.ndarray]):
         blocks = tuple(np.array(b, dtype=complex) for b in blocks)
         for b in blocks:
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise ValueError(f"block of shape {b.shape} is not square")
-            if require_hermitian and np.max(np.abs(b - b.conj().T)) > _herm_bound(b):
-                raise ValueError("block is not Hermitian within tolerance")
             b.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
 
@@ -175,7 +177,7 @@ class BlockMatrix:
 
     @staticmethod
     def zeros(dims: Sequence[int]) -> "BlockMatrix":
-        return BlockMatrix([np.zeros((d, d), dtype=complex) for d in dims], require_hermitian=False)
+        return BlockMatrix([np.zeros((d, d), dtype=complex) for d in dims])
 
 
 class ConstraintSet:
@@ -248,7 +250,7 @@ class ConstraintSet:
             blk.real = np.bincount(flat, weights=yk * v.real, minlength=d * d)
             blk.imag = np.bincount(flat, weights=yk * v.imag, minlength=d * d)
             blocks.append(blk.reshape(d, d))
-        return BlockMatrix(blocks, require_hermitian=False)
+        return BlockMatrix(blocks)
 
     @cached_property
     def _conj_csr(self) -> scipy.sparse.csr_matrix:
@@ -403,6 +405,8 @@ class SdpProblem:
                 raise ValueError("objective dims do not match the block structure")
             if not all(np.isfinite(blk).all() for blk in self.objective.blocks):
                 raise ValueError("objective is not finite")
+            if any(np.max(np.abs(c - c.conj().T)) > _herm_bound(c) for c in self.objective.blocks):
+                raise ValueError("objective is not Hermitian within tolerance")
         self.b = np.asarray(self.b, dtype=float)
         if self.b.shape != (self.constraint_set.m,):
             raise ValueError("one right-hand side per constraint required")
@@ -621,7 +625,7 @@ def solve(problem: SdpProblem) -> SdpResult:
     info = {"iterations": 0, "trajectory": trajectory, "schur_shifts": 0}
 
     def optimal(xb, yb) -> SdpResult:
-        x_opt = BlockMatrix(xb, require_hermitian=False)
+        x_opt = BlockMatrix(xb)
         return SdpResult(OPTIMAL, x_opt, yb, objective.inner(x_opt), info=info)
 
     def without_x(status) -> SdpResult:
@@ -831,10 +835,7 @@ def verify(problem: SdpProblem, result: SdpResult) -> VerificationReport:
         lam_x = x.min_eig()
         floor_x = -FEAS_TOL * (1.0 + x.norm())
         checks["primal_psd"] = (lam_x >= floor_x, lam_x, abs(floor_x))
-        s_dual = BlockMatrix(
-            [cb - ab for cb, ab in zip(c.blocks, ops.adjoint(result.y).blocks)],
-            require_hermitian=False,
-        )
+        s_dual = BlockMatrix([cb - ab for cb, ab in zip(c.blocks, ops.adjoint(result.y).blocks)])
         lam_s = s_dual.min_eig()
         floor_s = -FEAS_TOL * (1.0 + s_dual.norm())
         checks["dual_psd"] = (lam_s >= floor_s, lam_s, abs(floor_s))
@@ -868,10 +869,7 @@ def block_matrix_to_json(bm: BlockMatrix) -> list[dict]:
 
 
 def block_matrix_from_json(data: list[dict]) -> BlockMatrix:
-    return BlockMatrix(
-        [np.array(d["re"]) + 1j * np.array(d["im"]) for d in data],
-        require_hermitian=False,
-    )
+    return BlockMatrix([np.array(d["re"]) + 1j * np.array(d["im"]) for d in data])
 
 
 def problem_to_json(p: SdpProblem) -> dict:
@@ -893,7 +891,9 @@ def problem_to_json(p: SdpProblem) -> dict:
 
 def problem_from_json(data: dict) -> SdpProblem:
     """Inverse of ``problem_to_json``; ValueError unless the file has one
-    constraint entry per block and every index k, i, j lies in its block's range."""
+    constraint entry per block, with lists k, i, j, re and im of one length,
+    every index an integer in its block's range and no (k, i, j) of a block
+    listed twice."""
     dims = tuple(data["blocks"])
     objective = (
         None if data["objective"] is None else block_matrix_from_json(data["objective"])
@@ -903,10 +903,17 @@ def problem_from_json(data: dict) -> SdpProblem:
         raise ValueError(f"{len(data['constraints'])} constraint entries for {len(dims)} blocks")
     stacks = []
     for d, entries in zip(dims, data["constraints"]):
-        index = tuple(np.asarray(entries[key], dtype=int) for key in "kij")
+        if len({len(entries[key]) for key in ("k", "i", "j", "re", "im")}) != 1:
+            raise ValueError("constraint lists k, i, j, re and im differ in length")
+        index = tuple(np.asarray(entries[key]) for key in "kij")
         for key, idx, bound in zip("kij", index, (len(b), d, d)):
+            if idx.size and idx.dtype.kind not in "iu":
+                raise ValueError(f"constraint index {key} is not an integer")
             if idx.size and (idx.min() < 0 or idx.max() >= bound):
                 raise ValueError(f"constraint index {key} outside [0, {bound})")
+        index = k, i, j = tuple(idx.astype(int) for idx in index)
+        if np.unique((k * d + i) * d + j).size != k.size:
+            raise ValueError("constraint entry (k, i, j) listed twice in one block")
         stack = np.zeros((len(b), d, d), dtype=complex)
         stack.real[index] = entries["re"]
         stack.imag[index] = entries["im"]

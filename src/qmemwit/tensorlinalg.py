@@ -19,6 +19,8 @@ import numpy as np
 # Hermiticity is checked entrywise.  Loose enough for d <= 32 in double
 # precision, tight enough to separate zero from nonzero regimes downstream.
 HERM_TOL = 1e-10
+# Entrywise defect of U U^H from the identity that a unitary may carry.
+UNITARY_TOL = 1e-9
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -116,8 +118,8 @@ class TensorOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
 
-    def is_hermitian(self, tol: float = HERM_TOL) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= HERM_TOL)
 
     def hermitized(self) -> "TensorOperator":
         return TensorOperator(self.space, (self.mat + self.mat.conj().T) / 2)
@@ -175,13 +177,6 @@ def identity(s: SubsystemSpace | Sequence[tuple[str, int]]) -> TensorOperator:
     if not isinstance(s, SubsystemSpace):
         s = space(*s)
     return TensorOperator(s, np.eye(s.total_dim, dtype=complex))
-
-
-def allclose(a: TensorOperator, b: TensorOperator, atol: float = 1e-12) -> bool:
-    """Entrywise comparison after aligning factor orders by label."""
-    if set(a.labels) != set(b.labels):
-        return False
-    return bool(np.allclose(a.mat, reorder(b, a.labels).mat, atol=atol, rtol=0.0))
 
 
 def max_abs_diff(a: TensorOperator, b: TensorOperator) -> float:
@@ -306,9 +301,9 @@ def min_eig(x: TensorOperator | np.ndarray) -> float:
     return float(np.linalg.eigvalsh(mat)[0])
 
 
-def is_unitary(x: TensorOperator, tol: float = 1e-9) -> bool:
+def is_unitary(x: TensorOperator) -> bool:
     d = x.space.total_dim
-    return bool(np.max(np.abs(x.mat @ x.mat.conj().T - np.eye(d))) <= tol)
+    return bool(np.max(np.abs(x.mat @ x.mat.conj().T - np.eye(d))) <= UNITARY_TOL)
 
 
 # ---------------------------------------------------------------------------

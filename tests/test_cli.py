@@ -1,5 +1,11 @@
+import hashlib
+import itertools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -239,9 +245,21 @@ class TestHeatmap:
     def test_byte_deterministic(self, tmp_path):
         rows = self._rows()
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        cli.render_heatmap(rows, "value", str(a))
-        cli.render_heatmap(rows, "value", str(b))
+        cli.render_heatmap(rows, str(a))
+        cli.render_heatmap(rows, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_fixed_table_bytes(self, tmp_path):
+        # negative, zero, positive and NaN values on a 3x3 grid with pi ticks
+        values = (-0.25, -0.5, 0.0, 0.125, float("nan"), -1.0, 0.5, 0.25, -0.125)
+        rows = [
+            cli.SweepRow(j, h, 1.0, "ppt", v, "inconclusive", "ok")
+            for (j, h), v in zip(itertools.product((0.0, 2.0, 4.0), repeat=2), values)
+        ]
+        path = tmp_path / "fixed.svg"
+        cli.render_heatmap(rows, str(path))
+        digest = hashlib.sha1(path.read_bytes()).hexdigest()
+        assert digest == "0d8897aafd63095db3b970afdebaa10cccfa8531"
 
     def test_single_cell(self, tmp_path):
         config = cli.SweepConfig(
@@ -249,7 +267,7 @@ class TestHeatmap:
             methods=("ppt",),
         )
         path = tmp_path / "one.svg"
-        cli.render_heatmap(cli.sweep(config), "value", str(path))
+        cli.render_heatmap(cli.sweep(config), str(path))
         body = path.read_text()
         # one data cell plus the legend band and background
         data_rects = [ln for ln in body.splitlines() if 'y="20.00"' in ln and ln.startswith("<rect x=\"70")]
@@ -258,16 +276,12 @@ class TestHeatmap:
     def test_pi_ticks_present(self, tmp_path):
         rows = self._rows()
         path = tmp_path / "ticks.svg"
-        cli.render_heatmap(rows, "value", str(path))
+        cli.render_heatmap(rows, str(path))
         assert ">pi<" in path.read_text()
-
-    def test_unknown_column(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown column"):
-            cli.render_heatmap(self._rows(), "verdict", str(tmp_path / "x.svg"))
 
     def test_empty_selection_rejected(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="empty table"):
-            cli.render_heatmap([], "value", str(tmp_path / "x.svg"))
+            cli.render_heatmap([], str(tmp_path / "x.svg"))
         table = tmp_path / "ppt.csv"
         table.write_text(cli.rows_to_csv(self._rows()))
         with pytest.raises(SystemExit) as exc:
@@ -284,7 +298,7 @@ class TestHeatmap:
             cli.main(["heatmap", "--table", str(table), "--column", "J",
                       "--out", str(tmp_path / "x.svg")])
         assert exc.value.code == 2
-        assert "invalid choice: 'J'" in capsys.readouterr().err
+        assert "unrecognized arguments: --column J" in capsys.readouterr().err
 
     def test_wrong_header_is_a_usage_error(self, tmp_path, capsys):
         table = tmp_path / "bad.csv"
@@ -300,7 +314,7 @@ class TestHeatmap:
             methods=("ppt", "markov_distance"),
         )
         with pytest.raises(ValueError, match="mixes methods"):
-            cli.render_heatmap(cli.sweep(config), "value", str(tmp_path / "x.svg"))
+            cli.render_heatmap(cli.sweep(config), str(tmp_path / "x.svg"))
 
 
 class TestWitnessExport:
@@ -631,3 +645,18 @@ class TestUnverified:
             cli.Range(1.0, 1.0, 1), cli.Range(1.0, 1.0, 1), methods=("dps2", "ppt_sdp")
         )
         assert [r.status for r in cli.sweep(config)] == ["infeasible", "optimal"]
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("setting, expected", [(None, "1"), ("3", "3")])
+    def test_import_sets_one_thread_unless_chosen(self, setting, expected):
+        # OpenBLAS reads the variable when numpy loads, inside the import of qmemwit
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
+        script = "import os, qmemwit; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == expected

@@ -32,7 +32,8 @@ def record(j, h, method="dps2", **fields):
 
 def fingerprint_file(**fields):
     out = {
-        "numpy": "2.4.6", "scipy": "1.17.1", "openblas_num_threads": "1", "cpu_count": 2,
+        "numpy": "2.4.6", "scipy": "1.17.1", "seconds": 1.0,
+        "openblas_num_threads": "1", "cpu_count": 2,
         "sweep_csv_sha1": "c", "sweep_dumps_sha1": "d",
         "records": [record(1.0, 1.0), record(1.0, 2.0), record(0.0, 1.0, "ppt_sdp")],
     }
@@ -72,11 +73,25 @@ def test_sweep_hash_differs(fingerprint, capsys):
 
 
 def test_version_mismatch_is_flagged_without_failing(fingerprint, capsys):
-    a, b = fingerprint_file(), fingerprint_file(scipy="1.10.0")
-    del a["numpy"]
+    a, b = fingerprint_file(), fingerprint_file(numpy="2.3.5", scipy="1.10.0")
     assert fingerprint.compare(a, b, tol=0.0)
     out = capsys.readouterr().out
-    assert "A: openblas_num_threads 1, cpu_count 2, numpy unknown, scipy 1.17.1" in out
-    assert "B: openblas_num_threads 1, cpu_count 2, numpy 2.4.6, scipy 1.10.0" in out
+    assert "A: openblas_num_threads 1, cpu_count 2, numpy 2.4.6, scipy 1.17.1" in out
+    assert "B: openblas_num_threads 1, cpu_count 2, numpy 2.3.5, scipy 1.10.0" in out
     assert "numpy or scipy versions differ" in out
     assert "BLAS settings differ" not in out
+
+
+def test_missing_digest_fails(fingerprint, capsys):
+    a, b = fingerprint_file(), fingerprint_file()
+    for f in (a, b):
+        for r in f["records"]:
+            del r["trajectory_sha1"]
+    del b["sweep_csv_sha1"]
+    assert not fingerprint.compare(a, b, tol=0.0)
+    assert capsys.readouterr().out.splitlines() == [
+        "A: 3 records lack field trajectory_sha1",
+        "B: no field sweep_csv_sha1",
+        "B: 3 records lack field trajectory_sha1",
+        "DIFFERENT",
+    ]

@@ -36,14 +36,14 @@ def min_eig_problem(m):
 
 class TestProblemValidation:
     def test_non_hermitian_objective_rejected(self):
-        with pytest.raises(ValueError):
-            BlockMatrix([np.array([[0, 1], [0, 0]], dtype=complex)])
+        with pytest.raises(ValueError, match="objective is not Hermitian"):
+            min_eig_problem(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_non_hermitian_constraint_rejected(self):
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
             SdpProblem.from_constraints(
-                (2,), None, [(BlockMatrix([bad], require_hermitian=False), 0.0)]
+                (2,), None, [(BlockMatrix([bad]), 0.0)]
             )
 
     def test_hermitian_check_is_relative(self):
@@ -57,7 +57,7 @@ class TestProblemValidation:
         defect = np.max(np.abs(big - big.conj().T))
         # rounding leaves a defect above the absolute bound but far below the relative one
         assert sdp.HERM_TOL < defect <= 1e-14 * scale
-        BlockMatrix([big])
+        min_eig_problem(big)
         sdp.ConstraintSet((8,), [big[None]])
         w = ising.process_matrix(1.0, 1.0, 1.0)
         a_op = tl.TensorOperator(w.op.space, big)
@@ -67,7 +67,7 @@ class TestProblemValidation:
         bad = big.copy()
         bad[0, 1] += 1e-3 * scale
         with pytest.raises(ValueError):
-            BlockMatrix([bad])
+            min_eig_problem(bad)
         with pytest.raises(ValueError):
             sdp.ConstraintSet((8,), [bad[None]])
 
@@ -967,7 +967,7 @@ class TestVerify:
         rng = np.random.default_rng(19)
         p = min_eig_problem(herm(rng, 4))
         r = sdp.solve(p)
-        bad_x = BlockMatrix([r.x.blocks[0] * 1.1], require_hermitian=False)
+        bad_x = BlockMatrix([r.x.blocks[0] * 1.1])
         tampered = sdp.SdpResult(sdp.OPTIMAL, bad_x, r.y, r.objective_value)
         rep = sdp.verify(p, tampered)
         assert not rep.ok
@@ -1062,6 +1062,37 @@ class TestSerialization:
         data = self.witness_dump()
         data["constraints"][0]["j"][0] = -1
         with pytest.raises(ValueError, match="index j outside"):
+            sdp.problem_from_json(data)
+
+    def test_non_integer_constraint_index_rejected(self):
+        # read as 1 by an integer cast
+        data = self.witness_dump()
+        data["constraints"][0]["i"][0] = 1.7
+        with pytest.raises(ValueError, match="index i is not an integer"):
+            sdp.problem_from_json(data)
+
+    def test_repeated_constraint_entry_rejected(self):
+        # read with its last value, A_0[0, 0] = 5, by an indexed assignment
+        data = self.witness_dump()
+        entries = data["constraints"][0]
+        for key in ("k", "i", "j", "im"):
+            entries[key].append(entries[key][0])
+        entries["re"].append(5.0)
+        with pytest.raises(ValueError, match="listed twice"):
+            sdp.problem_from_json(data)
+
+    def test_short_value_list_rejected(self):
+        # one value would be broadcast to every entry of the block
+        data = self.witness_dump()
+        data["constraints"][0]["re"] = [5.0]
+        with pytest.raises(ValueError, match="differ in length"):
+            sdp.problem_from_json(data)
+
+    def test_non_hermitian_objective_in_dump_rejected(self):
+        # a non-Hermitian objective would run the solve to max_iterations
+        data = self.witness_dump()
+        data["objective"][0]["re"][0][1] += 0.5
+        with pytest.raises(ValueError, match="objective is not Hermitian"):
             sdp.problem_from_json(data)
 
     def test_result_serializes(self):
