@@ -11,7 +11,10 @@ for bit, and the tests compare the two bit for bit.  That matters on h = 0,
 where the least eigenvalue of W^{T_{A_I}} is 0 in exact arithmetic and the
 sign of the printed value is rounding noise.  Where a vectorized operation
 would round differently (the eigenvector phase, the Frobenius norm) the
-kernel calls it once per point.
+kernel calls it once per point.  The link with |phi+> is the one step that
+is not the reference's call: it multiplies by the one value of the nonzero
+entries of |phi+><phi+|, which gives the reference's values because every
+other term of its contraction is an exact zero.
 
 A point that fails a check the reference makes raises nothing here: its
 error text is recorded for that point and the rest of the row carries on.
@@ -29,7 +32,7 @@ from . import tensorlinalg as tl
 
 _XX = np.kron(tl.PAULI_X, tl.PAULI_X)
 _ZSUM = np.kron(tl.PAULI_Z, np.eye(2)) + np.kron(np.eye(2), tl.PAULI_Z)
-# |phi+><phi+| on (A_I, E_I) as x[i, a, j, b], the left operand of the link
+# |phi+><phi+| on (A_I, E_I) as x[i, a, j, b]; the link multiplies by its x[0, 0, 0, 0]
 _PHI_PLUS4 = ising.initial_state().mat.reshape(2, 2, 2, 2)
 _NOT_UNITARY = "operator is not unitary within tolerance"
 
@@ -75,13 +78,15 @@ def _comb_errors(w: np.ndarray, norm2: np.ndarray) -> list[str | None]:
     rhs = np.kron(_partial_trace(sym, "bc"), np.eye(4) / 4)
     comb = _max_abs(lhs - rhs)
     floor = -pr.PSD_TOL * (1.0 + norm2)
-    errors: list[str | None] = []
-    for k in range(len(w)):
+    # a report is built only where a condition fails
+    ok = pr.comb_ok(herm, lam, tr_err, comb, floor)
+    errors: list[str | None] = [None] * len(w)
+    for k in np.flatnonzero(~ok):
         report = pr.CombReport(
             float(herm[k]), float(lam[k]), float(tr_err[k]), float(comb[k]),
             psd_floor=float(floor[k]),
         )
-        errors.append(None if report.ok else f"not a valid process matrix: {report}")
+        errors[k] = f"not a valid process matrix: {report}"
     return errors
 
 
@@ -108,11 +113,15 @@ def process_matrices(J: float, hs, t: float) -> tuple[np.ndarray, list[str | Non
     # Choi operator of U on (A_O, E_I, B_I, E_O): vec (j, a) = u[a, j]
     vec = u.swapaxes(-1, -2).reshape(n, 16)
     choi = (vec[:, :, None] * vec.conj()[:, None, :]).reshape(n, 2, 2, 2, 2, 2, 2, 2, 2)
-    # link with |phi+> over E_I: reorder to (E_I, A_O, B_I, E_O) and contract
+    # link with |phi+> over E_I: reorder to (E_I, A_O, B_I, E_O) and contract.
+    # The only nonzero entries of |phi+><phi+| are x[i, i, j, j], all equal,
+    # so the contraction is that one stored entry times y4; 0.5 would round
+    # differently, as the entry is (1/sqrt 2)^2 = 0.4999999999999999
     y4 = choi.transpose(0, 2, 1, 3, 4, 6, 5, 7, 8).reshape(n, 2, 8, 2, 8)
-    linked = np.einsum("iajb,nakbl->nikjl", _PHI_PLUS4, y4)
+    linked = _PHI_PLUS4[0, 0, 0, 0] * y4
     # trace out E_O of (A_I, A_O, B_I, E_O)
-    w = np.einsum("nabcdABCd->nabcABC", linked.reshape(n, 2, 2, 2, 2, 2, 2, 2, 2))
+    l8 = linked.reshape(n, 2, 2, 2, 2, 2, 2, 2, 2)
+    w = l8[:, :, :, :, 0, :, :, :, 0] + l8[:, :, :, :, 1, :, :, :, 1]
     return _hermitized(w.reshape(n, 8, 8)), errors
 
 

@@ -170,7 +170,7 @@ def _solve_verified(problem: sdp.SdpProblem) -> tuple[sdp.SdpResult, dict]:
 
     For a verified infeasible result, ``certificate_min_eig`` is the least
     eigenvalue of the Farkas certificate's S = -A*(y) as ``verify`` formed it
-    from the constraint stacks.
+    from the constraints' nonzero entries.
     """
     result = sdp.solve(problem)
     verification = sdp.verify(problem, result)
@@ -295,17 +295,21 @@ def dps2_feasibility(w: ProcessMatrix) -> WitnessReport:
     """Level-2 symmetric-extension test; infeasibility certifies quantum memory.
 
     Feasibility of the extension SDP is inconclusive (consistent with
-    classical memory).  On the Markovian J = 0 line rho has full rank, and
-    the projection of the solver's start point onto the extension's affine
-    set is already a positive-definite extension: the solve ends there, at
-    iteration 0, optimal with y = 0 (``info["stop"]`` is
-    ``start_projection``).  A verified infeasible result is mapped to a
-    witness only when its certificate margin, the least eigenvalue of
-    S = -A*(y) that ``sdp.verify`` formed from the constraint stacks, is
-    nonnegative; the verdict is ``quantum_memory`` when the witness value on
-    W is below -tol_detect(w), as for the other methods.  Otherwise, as on a
-    solver failure, the verdict is withheld with a ``reason`` in the
-    diagnostics.
+    classical memory).  On the Markovian J = 0 line the projection of the
+    solver's start point onto the extension's affine set is an extension
+    whose every block has 12 eigenvalues at rounding level (+1.4e-16 to
+    +1.0e-15 on criterion 6's 31 points there), although rho = W / Tr W has
+    rank 2 there as at every Ising point.  While those eigenvalues come out
+    positive, the projection is a positive-definite extension and the solve
+    ends there, at iteration 0, optimal with y = 0 (``info["stop"]`` is
+    ``start_projection``); a rounding change that made one of them negative
+    would send the point through the iteration instead.  A verified
+    infeasible result is mapped to a witness only when its certificate
+    margin, the least eigenvalue of S = -A*(y) that ``sdp.verify`` formed
+    from the constraints' nonzero entries, is nonnegative; the verdict is
+    ``quantum_memory`` when the witness value on W is below -tol_detect(w),
+    as for the other methods.  Otherwise, as on a solver failure, the
+    verdict is withheld with a ``reason`` in the diagnostics.
     """
     template = _dps2_template(w.dims)
     problem = template.problem(w)

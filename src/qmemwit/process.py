@@ -266,6 +266,17 @@ def _random_channel(rng: np.random.Generator, d_in: int, d_out: int) -> ChannelC
 # ---------------------------------------------------------------------------
 
 
+def comb_ok(hermiticity, min_eig, trace_error, comb_condition, psd_floor):
+    """Whether violation magnitudes pass every process-matrix condition; on
+    floats or, element by element, on arrays of them."""
+    return (
+        (hermiticity <= tl.HERM_TOL)
+        & (min_eig >= psd_floor)
+        & (trace_error <= COMB_TOL)
+        & (comb_condition <= COMB_TOL)
+    )
+
+
 @dataclass
 class CombReport:
     """Violation magnitudes of every process-matrix condition."""
@@ -278,11 +289,11 @@ class CombReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.hermiticity <= tl.HERM_TOL
-            and self.min_eig >= self.psd_floor
-            and self.trace_error <= COMB_TOL
-            and self.comb_condition <= COMB_TOL
+        return bool(
+            comb_ok(
+                self.hermiticity, self.min_eig, self.trace_error, self.comb_condition,
+                self.psd_floor,
+            )
         )
 
     def __str__(self):

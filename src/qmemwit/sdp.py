@@ -4,12 +4,13 @@ Solves   minimize  <C, X>   subject to  <A_k, X> = b_k,  X >= 0 blockwise,
 with an objective or in pure feasibility mode (C = 0).  An optimal result
 carries the primal X and the dual y; an infeasible one carries its Farkas
 certificate as y alone, with S = -A*(y) >= 0 and b.y = 1, which ``verify``
-checks by forming S from the constraint stacks.  The least eigenvalue of
-that S, the certificate's margin, is reported by ``verify`` alone.  The
-algorithm is a primal-dual path-following interior-point method on the
-homogeneous self-dual embedding, with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector, which ``solve`` runs itself for at most MAX_ITERATIONS
-iterations; infeasibility certificates fall out of the same iteration.
+checks by forming S from the constraints' nonzero entries.  The least
+eigenvalue of that S, the certificate's margin, is reported by ``verify``
+alone.  The algorithm is a primal-dual path-following interior-point method
+on the homogeneous self-dual embedding, with Nesterov-Todd scaling and a
+Mehrotra predictor-corrector, which ``solve`` runs itself for at most
+MAX_ITERATIONS iterations; infeasibility certificates fall out of the same
+iteration.
 The iteration runs directly on the complex Hermitian blocks, with inner
 products <A, B> = Re Tr(A^H B) (Todd, Toh and Tutuncu, SIAM J. Optim. 8
 (1998), define the Nesterov-Todd direction on Hermitian matrices).  As
@@ -55,13 +56,15 @@ Peyrl and Parrilo, Theor. Comput. Sci. 409 (2008), at the one point where it
 costs no solve; info["stop"] reads "start_projection".  The test only reads
 the iterate, so a solve that it does not end runs bitwise as without it.
 
-The constraint data has one form: per block, the (m, n_b, n_b) stack of the
-operators A_k (``ConstraintSet``).  The solver applies A and A* only through
-the sparse matrices each set derives from its stacks and caches
+A ``ConstraintSet`` receives the operators A_k as one dense (m, n_b, n_b)
+stack per block and keeps none of them: the stored form of the constraint
+data is each stack's nonzero entries (k, i, j, value) (``_entries``), next
+to the sparse matrices that the set derives from the stacks at construction.
+The solver applies A and A* only through those sparse matrices
 (``ConstraintSet._a_of`` and ``_a_adj``).  ``verify`` checks with
 ``ConstraintSet.apply`` and ``adjoint`` instead, an independent path that sums
-over each stack's nonzero entries (k, i, j, value) with ``np.bincount``; the
-set caches those entries (``_entries``), and ``problem_to_json`` writes them.
+over the nonzero entries with ``np.bincount``, and ``problem_to_json`` writes
+the entries.
 
 The Schur complement M_kl = <A_k, W A_l W> of each iteration is a sparse
 congruence: for row-major vec and Hermitian W, vec(W A W) = (W kron W^T) vec(A),
@@ -78,8 +81,8 @@ returns is the calling thread's workspace, valid until that thread's next
 assembly on the set.
 
 The module keeps no state between solves but what each ``ConstraintSet``
-caches: that per-thread workspace and, read-only, the sparse matrices, the
-nonzero entries and the start state, so threads may solve on one set at
+holds: that per-thread workspace and, read-only, the nonzero entries, the
+sparse matrices and the start state, so threads may solve on one set at
 once.  Every solve starts at X = S = I and y = 0, where the Nesterov-Todd
 scaling is W = G = G^-1 = I with lv = 1 and M is the Gram matrix Re(A A^H)
 of the constraints, so the Cholesky factor of that M is computed once and
@@ -91,7 +94,7 @@ kappa), the diagonal-shift retries of the Schur factorizations of iterations
 1 and later (``schur_shifts``; the start factor belongs to the set), the
 ``stop`` of a solve that ended at its start projection and the reason for
 any failure.  ``problem_to_json`` and ``result_to_json`` serialize one solve,
-each constraint stack as its cached nonzero entries; the command line's
+each constraint stack as its stored nonzero entries; the command line's
 ``--dump-sdp`` writes them per grid point.
 """
 
@@ -114,7 +117,7 @@ TAU_KAPPA_RATIO = 1e-8   # tau/kappa threshold of the infeasibility ratio test
 # A shifted certificate lifts each block b by t_b sigma_b = SHIFT_SLACK * max(0, -lambda_b)
 # + CERT_TOL: the 1% slack absorbs the rounding of A*(y_b) and its off-block entries,
 # and the CERT_TOL floor keeps every block's margin clear of rounding in verify's
-# recomputation from the stacks, including blocks that were already PSD.
+# recomputation from the entries, including blocks that were already PSD.
 SHIFT_SLACK = 1.01
 # |b.y - 1| of a shifted certificate after its rescaling by 1/b.y'.  When the shift
 # uses up nearly all of b.y_hat = 1, b.y' is a near-cancellation and the rescaling
@@ -180,21 +183,60 @@ class BlockMatrix:
         return BlockMatrix([np.zeros((d, d), dtype=complex) for d in dims])
 
 
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _schur_rows(flats) -> tuple:
+    """``ConstraintSet._block_csr`` from each block's (m, d^2) rows vec A_k."""
+    out = []
+    for i, flat in enumerate(flats):
+        rows = np.flatnonzero(np.any(flat != 0, axis=1))
+        if rows.size == 0:
+            continue
+        span = slice(int(rows[0]), int(rows[-1]) + 1)
+        a = flat[span]
+        s_b = scipy.sparse.csr_matrix(a.conj())
+        r_b = scipy.sparse.csr_matrix(np.concatenate([a.real, -a.imag], axis=1))
+        out.append((i, (span, span), s_b, r_b))
+    return tuple(out)
+
+
 class ConstraintSet:
     """Stacked constraint operators <A_k, X> for one block structure.
 
-    The stacks (one (m, n_b, n_b) complex array per block) are shared between
-    problems that differ only in their right-hand sides, and so are the
-    sparse matrices the solver applies them with, their nonzero entries and
-    the solver's start state (the Cholesky factor of the Schur complement
-    there, the constant part of the start point's projection and the block
-    shifts of the Farkas stop test), each computed once, cached and never
-    written again.  The Schur workspace is per thread: the (m, m) M,
-    one W kron W^T per block side and one real buffer for the second
-    product.  ``_schur`` returns M itself, overwritten by the same thread's
-    next ``_schur`` on the set; its consumer ``_factor`` copies it.  So
-    threads may solve problems on one set at once, and the sweep's worker
-    processes each hold their own sets.
+    A set receives the operators as one dense (m, n_b, n_b) complex stack per
+    block, checks them and derives from them, at construction, every form it
+    reads afterwards; it keeps no dense stack.  Those forms are shared between
+    problems that differ only in their right-hand sides:
+
+    - ``_entries``: per block, the stack's nonzero entries (k, i, j, value) in
+      row-major order, A_k[i, j] = value, the stored form of the operators,
+      which ``apply``, ``adjoint``, ``stacks`` and ``problem_to_json`` read;
+    - ``_conj_csr``: the rows vec(conj A_k) over all blocks, so that
+      <A_k, X> = Re(row_k . vec X), through which the solver applies A and A*
+      (``_a_of``, and ``_a_adj`` through the once-taken transpose);
+    - ``_block_csr``: per block with data, (block, index, S_b, R_b) for the
+      Schur complement.  The span of block b runs from the first to the last
+      constraint with data in that block.  S_b holds the rows vec(conj A_k) of
+      block b for the constraints k in the span, and R_b the same rows as
+      [Re vec A_k | -Im vec A_k], so that Re(conj(S_b) u^T) = R_b [Re u^T;
+      Im u^T]; index = (span, span) addresses those rows and columns of an
+      (m, m) matrix.  A row without data in the block only adds zeros;
+    - ``_block_traces``: per block b, A(E_b), the traces of the constraints'
+      block-b parts, for the start state.
+
+    These, and the solver's start state (the Cholesky factor of the Schur
+    complement there, the constant part of the start point's projection and
+    the block shifts of the Farkas stop test), are read-only and never
+    written again.  The Schur workspace is per thread: the (m, m) M, one
+    W kron W^T per block side and one real buffer for the second product.
+    ``_schur`` returns M itself, overwritten by the same thread's next
+    ``_schur`` on the set; its consumer ``_factor`` copies it.  So threads may
+    solve problems on one set at once, and the sweep's worker processes each
+    hold their own sets.
     """
 
     def __init__(self, block_dims: Sequence[int], stacks: Sequence[np.ndarray]):
@@ -212,23 +254,34 @@ class ConstraintSet:
                 raise ValueError("constraint operator is not finite")
             if m and np.max(np.abs(s - s.conj().transpose(0, 2, 1))) > _herm_bound(s):
                 raise ValueError("constraint operator is not Hermitian within tolerance")
-        self.stacks = tuple(stacks)
         self.m = m
         self._splits = np.cumsum([d * d for d in self.block_dims])[:-1]
         self._local = threading.local()
+        entries = []
+        for s in stacks:
+            k, i, j = np.nonzero(s)
+            entries.append(_read_only(k, i, j, s[k, i, j]))
+        self._entries = tuple(entries)
+        flats = [s.reshape(m, d * d) for s, d in zip(stacks, self.block_dims)]
+        # conjugated after the conversion, so that one dense copy exists at a
+        # time.  The rows are not built from _entries: freeing this dense block
+        # raises glibc's mmap threshold, after which the solver's per-iteration
+        # Schur temporaries are reused from the heap instead of being mapped
+        # and page-faulted in afresh.
+        self._conj_csr = scipy.sparse.csr_matrix(np.concatenate(flats, axis=1)).conj()
+        self._block_csr = _schur_rows(flats)
+        self._block_traces = _read_only(*(np.einsum("kii->k", s).real for s in stacks))
 
-    @cached_property
-    def _entries(self) -> tuple:
-        """Per block, the stack's nonzero entries (k, i, j, value) in row-major
-        order, read-only: A_k[i, j] = value.  ``apply``, ``adjoint`` and
-        ``problem_to_json`` read the stacks in this form."""
+    @property
+    def stacks(self) -> tuple:
+        """The dense (m, n_b, n_b) operator stacks, rebuilt from ``_entries`` on
+        each access and read-only; the set itself keeps no dense stack."""
         out = []
-        for stack in self.stacks:
-            k, i, j = np.nonzero(stack)
-            entries = (k, i, j, stack[k, i, j])
-            for a in entries:
-                a.setflags(write=False)
-            out.append(entries)
+        for (k, i, j, v), d in zip(self._entries, self.block_dims):
+            stack = np.zeros((self.m, d, d), dtype=complex)
+            stack[k, i, j] = v
+            stack.setflags(write=False)
+            out.append(stack)
         return tuple(out)
 
     def apply(self, x: BlockMatrix) -> np.ndarray:
@@ -253,14 +306,6 @@ class ConstraintSet:
         return BlockMatrix(blocks)
 
     @cached_property
-    def _conj_csr(self) -> scipy.sparse.csr_matrix:
-        """Rows vec(conj A_k), so that <A_k, X> = Re(row_k . vec X)."""
-        flat = np.concatenate(
-            [s.reshape(self.m, d * d) for s, d in zip(self.stacks, self.block_dims)], axis=1
-        )
-        return scipy.sparse.csr_matrix(flat.conj())
-
-    @cached_property
     def _conj_csr_t(self):
         """``_conj_csr`` transposed once: each .T builds a new matrix."""
         return self._conj_csr.T
@@ -274,31 +319,6 @@ class ConstraintSet:
         """The Hermitian parts of the blocks of A*(y), through the sparse transpose."""
         parts = np.split(self._conj_csr_t.dot(y).conj(), self._splits)
         return [_sym(p.reshape(d, d)) for p, d in zip(parts, self.block_dims)]
-
-    @cached_property
-    def _block_csr(self) -> tuple:
-        """Per block with data: (block, index, S_b, R_b) for the Schur complement.
-
-        The span of block b runs from the first to the last constraint with
-        data in that block.  S_b holds the rows vec(conj A_k) of block b for
-        the constraints k in the span, and R_b the same rows as
-        [Re vec A_k | -Im vec A_k], so that Re(conj(S_b) u^T) =
-        R_b [Re u^T; Im u^T]; index = (span, span) addresses those rows and
-        columns of an (m, m) matrix.  A row without data in the block only
-        adds zeros.
-        """
-        out = []
-        for i, (s, d) in enumerate(zip(self.stacks, self.block_dims)):
-            flat = s.reshape(self.m, d * d)
-            rows = np.flatnonzero(np.any(flat != 0, axis=1))
-            if rows.size == 0:
-                continue
-            span = slice(int(rows[0]), int(rows[-1]) + 1)
-            a = flat[span]
-            s_b = scipy.sparse.csr_matrix(a.conj())
-            r_b = scipy.sparse.csr_matrix(np.concatenate([a.real, -a.imag], axis=1))
-            out.append((i, (span, span), s_b, r_b))
-        return tuple(out)
 
     @property
     def _workspace(self) -> tuple:
@@ -371,7 +391,7 @@ class ConstraintSet:
         factor, _ = _factor(self._schur([np.eye(d, dtype=complex) for d in self.block_dims]))
         if factor is None or self.m == 0:
             return factor, None, ()
-        a_eyes = [np.einsum("kii->k", s).real for s in self.stacks]
+        a_eyes = self._block_traces
         rhs = np.stack([sum(a_eyes), *a_eyes], axis=1)
         z = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
         p_0 = tuple(np.eye(d) - a for d, a in zip(self.block_dims, self._a_adj(z[:, 0])))
@@ -382,8 +402,7 @@ class ConstraintSet:
             sigma = lams[b]
             if sigma > 0 and min(lams) >= -HERM_TOL * sigma:
                 shifts.append((b, y_b, sigma))
-        for a in (factor[0], *p_0, *(y_b for _, y_b, _ in shifts)):
-            a.setflags(write=False)
+        _read_only(factor[0], *p_0, *(y_b for _, y_b, _ in shifts))
         return factor, p_0, tuple(shifts)
 
 
@@ -495,7 +514,9 @@ def _scaled_step(lvs, h_hats) -> float:
 def _factor(big_m):
     """(cho_factor, retries) of the Schur complement: the factor is retried
     with growing diagonal shifts, retries counts the shifted attempts, and
-    the factor is None when every attempt fails."""
+    the factor is None when every attempt fails.  Each retry writes big_m's
+    diagonal plus its shift into one copy of big_m, the same values as
+    big_m + shift * I."""
     m = big_m.shape[0]
     scale = max(np.trace(big_m) / max(m, 1), 1e-30)
     shifted = big_m
@@ -503,7 +524,9 @@ def _factor(big_m):
         try:
             return scipy.linalg.cho_factor(shifted, lower=True, check_finite=False), attempt
         except np.linalg.LinAlgError:
-            shifted = big_m + scale * 10.0 ** (-14 + 4 * attempt) * np.eye(m)
+            if shifted is big_m:
+                shifted = big_m.copy()
+            np.fill_diagonal(shifted, np.diagonal(big_m) + scale * 10.0 ** (-14 + 4 * attempt))
     return None, 3
 
 

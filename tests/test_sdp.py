@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -833,6 +835,77 @@ class TestEntries:
             with pytest.raises(ValueError):
                 values[:1] = 1.0
         assert ops._entries is ops._entries
+
+    @pytest.mark.parametrize("zero_block", [False, True])
+    def test_entries_and_maps_against_the_input_stacks(self, zero_block):
+        # the references read the stacks this test passed in, not ops.stacks,
+        # which the set rebuilds from its own entries
+        rng = np.random.default_rng(107)
+        dims, m = (3, 4, 2), 7
+        stacks = [np.stack([herm(rng, d) for _ in range(m)]) for d in dims]
+        stacks[0][:, 1, 2] = stacks[0][:, 2, 1] = 0.0
+        stacks[1][[1, 3, 4]] = 0.0
+        stacks[2][: m if zero_block else 5] = 0.0
+        kept = [s.copy() for s in stacks]
+        ops = sdp.ConstraintSet(dims, stacks)
+        for (k, i, j, values), stack in zip(ops._entries, kept):
+            want = np.nonzero(stack)
+            assert all(np.array_equal(got, w) for got, w in zip((k, i, j), want))
+            assert np.array_equal(values, stack[want])
+        assert all(np.array_equal(got, s) for got, s in zip(ops.stacks, kept))
+        for _ in range(5):
+            x = [herm(rng, d) for d in dims]
+            y = rng.standard_normal(m)
+            ax = sum(np.einsum("kij,ij->k", s, xb.conj()).real for s, xb in zip(kept, x))
+            got_ax = ops.apply(BlockMatrix(x))
+            assert np.max(np.abs(got_ax - ax)) <= 1e-15 * np.max(np.abs(ax))
+            aty = [np.tensordot(y, s, axes=(0, 0)) for s in kept]
+            scale = max(np.max(np.abs(want)) for want in aty)
+            for got, want in zip(ops.adjoint(y).blocks, aty):
+                assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
+class TestMemory:
+    """What a set keeps after construction and what a shifted Schur
+    factorization allocates, as tracemalloc counts them."""
+
+    def test_set_keeps_no_dense_stack(self):
+        from qmemwit import detect
+
+        tracemalloc.start()
+        try:
+            template = detect._Dps2Template((2, 2, 2))
+            gc.collect()
+            with_set = tracemalloc.get_traced_memory()[0]
+            del template.constraint_set
+            gc.collect()
+            kept = with_set - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the three dense (672, 16, 16) complex stacks alone take 8.3 MB
+        assert kept <= 2**20
+
+    def test_shifted_factor_copies_the_matrix_once(self):
+        import scipy.linalg
+
+        from qmemwit import detect
+
+        ops = detect._Dps2Template((2, 2, 2)).constraint_set
+        big_m = ops._schur(identity_blocks(ops)).copy()
+        big_m[0, :] = big_m[:, 0] = 0.0
+        m = len(big_m)
+        tracemalloc.start()
+        try:
+            factor, retries = sdp._factor(big_m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert retries == 1
+        # the shifted copy and cho_factor's own copy, plus small allocations
+        assert peak <= 2 * big_m.nbytes + 64 * 1024
+        shift = np.trace(big_m) / m * 10.0 ** -14
+        ref = scipy.linalg.cho_factor(big_m + shift * np.eye(m), lower=True, check_finite=False)
+        assert np.array_equal(factor[0], ref[0]) and factor[1] == ref[1]
 
 
 class TestEigOracle:
