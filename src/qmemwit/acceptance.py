@@ -1,7 +1,7 @@
 """Acceptance suite: the exit criteria of the build, one pass/fail line each.
 
 Shared between ``qmemwit verify`` and tests/test_acceptance.py.  Criteria 2-6
-record the outcome of every SDP verification they trigger; criterion 7 then
+record the verification of every solver result they trigger; criterion 7 then
 asserts that none failed.
 """
 
@@ -114,10 +114,27 @@ def criterion_1() -> CriterionResult:
     return _timed(1, "Markovian lattice", 1.0, run)
 
 
+def _h0_extension_report(w: pr.ProcessMatrix, j: float, t: float) -> sdp.VerificationReport:
+    """``sdp.verify`` of Y = sum_nu (q_nu / Tr W) rho_nu (x) T_nu (x) rho_nu, the
+    analytic extension of W = W(J, 0, t) = sum_nu q_nu rho_nu (x) T_nu, as the
+    blocks (Y, Y^{T_{A_I2}}, Y^{T_B}) and y = 0 of the dps2 template's problem."""
+    trace = w.op.trace().real
+    y_mat = sum(
+        q / trace * np.kron(np.kron(rho.mat, tl.reorder(choi.op, [pr.A_O, pr.B_I]).mat), rho.mat)
+        for q, rho, choi in ising.analytic_h0_mixture(j, t).terms
+    )
+    ext = tl.operator([*zip(pr.PROCESS_LABELS, (2, 2, 2)), (detect.EXTENSION_LABEL, 2)], y_mat)
+    labels = ({detect.EXTENSION_LABEL}, {pr.A_O, pr.B_I})
+    blocks = [y_mat] + [tl.partial_transpose(ext, part).mat for part in labels]
+    problem = detect._dps2_template((2, 2, 2)).problem(w)
+    y = np.zeros(problem.constraint_set.m)
+    return sdp.verify(problem, sdp.SdpResult(sdp.OPTIMAL, sdp.BlockMatrix(blocks), y, 0.0))
+
+
 def criterion_2(state: SuiteState) -> CriterionResult:
     def run():
         worst_gap, worst_eig = 0.0, 0.0
-        feasible = 0
+        feasible = extended = 0
         cases = [(j, t) for j in (0.5, 1.0, 2.3) for t in (0.7, 1.0)]
         for j, t in cases:
             w = ising.process_matrix(j, 0.0, t)
@@ -130,10 +147,12 @@ def criterion_2(state: SuiteState) -> CriterionResult:
                 "solver_status"
             ] == "optimal":
                 feasible += 1
-        ok = worst_gap <= 1e-10 and worst_eig >= -1e-10 and feasible == len(cases)
+            # solver-free, so not one of criterion 7's solver verifications
+            extended += _h0_extension_report(w, j, t).ok
+        ok = worst_gap <= 1e-10 and worst_eig >= -1e-10 and feasible == extended == len(cases)
         return ok, (
             f"max |W - analytic| {worst_gap:.2e}, min ppt eig {worst_eig:.2e}, "
-            f"dps2 feasible {feasible}/{len(cases)}"
+            f"dps2 feasible {feasible}/{len(cases)}, analytic extension {extended}/{len(cases)}"
         )
 
     return _timed(2, "h=0 classical memory", 30.0, run)

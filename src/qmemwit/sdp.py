@@ -74,16 +74,15 @@ with data in block b (Fujisawa, Kojima and Nakata, Math. Program. 79
 (1997), exploit the same sparsity).  The first product u = S_b (W_b kron
 W_b^T) is complex; the second is real, R_b [Re u^T; Im u^T] with R_b =
 [Re A | -Im A] on the same rows, since only the real part of conj(S_b) u^T
-enters M.  M, W kron W^T and [Re u^T; Im u^T] live in a workspace that
-each ``ConstraintSet`` allocates once per thread; only the two products'
-results are allocated per block.  The M that ``ConstraintSet._schur``
-returns is the calling thread's workspace, valid until that thread's next
-assembly on the set.
+enters M.  M and [Re u^T; Im u^T] live in buffers that each solve takes
+once (``ConstraintSet._schur_buffers``) and each of its assemblies
+overwrites; W kron W^T and the two products' results are allocated per
+block.
 
 The module keeps no state between solves but what each ``ConstraintSet``
-holds: that per-thread workspace and, read-only, the nonzero entries, the
-sparse matrices and the start state, so threads may solve on one set at
-once.  Every solve starts at X = S = I and y = 0, where the Nesterov-Todd
+holds, all of it read-only once computed: the nonzero entries, the sparse
+matrices and the start state, so threads may solve on one set at once.
+Every solve starts at X = S = I and y = 0, where the Nesterov-Todd
 scaling is W = G = G^-1 = I with lv = 1 and M is the Gram matrix Re(A A^H)
 of the constraints, so the Cholesky factor of that M is computed once and
 shared by every problem built on the set, with P_0 and the block shifts that
@@ -100,7 +99,6 @@ each constraint stack as its stored nonzero entries; the command line's
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -231,12 +229,10 @@ class ConstraintSet:
     These, and the solver's start state (the Cholesky factor of the Schur
     complement there, the constant part of the start point's projection and
     the block shifts of the Farkas stop test), are read-only and never
-    written again.  The Schur workspace is per thread: the (m, m) M, one
-    W kron W^T per block side and one real buffer for the second product.
-    ``_schur`` returns M itself, overwritten by the same thread's next
-    ``_schur`` on the set; its consumer ``_factor`` copies it.  So threads may
-    solve problems on one set at once, and the sweep's worker processes each
-    hold their own sets.
+    written again.  The set holds nothing that a solve writes: each solve
+    assembles its Schur complements into buffers of its own
+    (``_schur_buffers``).  So threads may solve problems on one set at once,
+    and the sweep's worker processes each hold their own sets.
     """
 
     def __init__(self, block_dims: Sequence[int], stacks: Sequence[np.ndarray]):
@@ -256,7 +252,6 @@ class ConstraintSet:
                 raise ValueError("constraint operator is not Hermitian within tolerance")
         self.m = m
         self._splits = np.cumsum([d * d for d in self.block_dims])[:-1]
-        self._local = threading.local()
         entries = []
         for s in stacks:
             k, i, j = np.nonzero(s)
@@ -320,37 +315,24 @@ class ConstraintSet:
         parts = np.split(self._conj_csr_t.dot(y).conj(), self._splits)
         return [_sym(p.reshape(d, d)) for p, d in zip(parts, self.block_dims)]
 
-    @property
-    def _workspace(self) -> tuple:
-        """The calling thread's buffers for ``_schur``, allocated on its first
-        assembly: M, one W kron W^T per block side, and a flat real buffer that
-        each block reads a prefix of as [Re u^T; Im u^T]."""
-        buffers = getattr(self._local, "buffers", None)
-        if buffers is None:
-            sides = {self.block_dims[i] for i, *_ in self._block_csr}
-            krons = {d: np.empty((d * d, d * d), dtype=complex) for d in sides}
-            size = max(
-                (2 * s_b.shape[1] * s_b.shape[0] for _, _, s_b, _ in self._block_csr), default=0
-            )
-            buffers = self._local.buffers = (np.empty((self.m, self.m)), krons, np.empty(size))
-        return buffers
+    def _schur_buffers(self) -> tuple:
+        """A new pair of buffers for ``_schur``: the (m, m) M and a flat real
+        buffer, sized for the largest block, that each block reads a prefix of
+        as [Re u^T; Im u^T]."""
+        size = max((2 * s_b.shape[1] * s_b.shape[0] for _, _, s_b, _ in self._block_csr), default=0)
+        return np.empty((self.m, self.m)), np.empty(size)
 
-    def _schur(self, ws) -> np.ndarray:
+    def _schur(self, ws, buffers) -> np.ndarray:
         """M_kl = <A_k, W A_l W> for the per-block scalings ws, summed over
-        blocks as Re(S_b (W kron W^T) S_b^H).
-
-        Returns the calling thread's workspace: the matrix is valid until that
-        thread's next ``_schur`` call on this set, and a caller that holds it
-        longer copies it.
-        """
-        big_m, krons, flat = self._workspace
+        blocks as Re(S_b (W kron W^T) S_b^H), written into the M of buffers,
+        a pair from ``_schur_buffers``, and returned."""
+        big_m, flat = buffers
         big_m.fill(0.0)
         for i, index, s_b, r_b in self._block_csr:
             w = ws[i]
             d = w.shape[0]
-            kron = krons[d]
-            # the products of np.kron(w, w.T), written in place
-            np.multiply(w[:, None, :, None], w.T[None, :, None, :], out=kron.reshape(d, d, d, d))
+            # the products of np.kron(w, w.T)
+            kron = (w[:, None, :, None] * w.T[None, :, None, :]).reshape(d * d, d * d)
             u = s_b.dot(kron)
             # conj(S_b) u^T is the transpose of the block's Hermitian term, whose
             # real part is symmetric: R_b [Re u^T; Im u^T], read from a
@@ -388,7 +370,8 @@ class ConstraintSet:
         inequality).  Without a factor or constraints, P_0 is None and there
         are no shifts.
         """
-        factor, _ = _factor(self._schur([np.eye(d, dtype=complex) for d in self.block_dims]))
+        eyes = [np.eye(d, dtype=complex) for d in self.block_dims]
+        factor, _ = _factor(self._schur(eyes, self._schur_buffers()))
         if factor is None or self.m == 0:
             return factor, None, ()
         a_eyes = self._block_traces
@@ -646,6 +629,7 @@ def solve(problem: SdpProblem) -> SdpResult:
     best_parts = (np.inf, np.inf, np.inf)
     trajectory: list[tuple] = []
     info = {"iterations": 0, "trajectory": trajectory, "schur_shifts": 0}
+    schur_buffers = ops._schur_buffers()
 
     def optimal(xb, yb) -> SdpResult:
         x_opt = BlockMatrix(xb)
@@ -713,7 +697,7 @@ def solve(problem: SdpProblem) -> SdpResult:
             except np.linalg.LinAlgError:
                 info["reason"] = "iterate has no Cholesky factor"
                 break
-            factor, retries = _factor(ops._schur(ws))
+            factor, retries = _factor(ops._schur(ws, schur_buffers))
             info["schur_shifts"] += retries
         if factor is None:
             info["reason"] = "Schur complement factorization failed"
@@ -913,11 +897,13 @@ def problem_to_json(p: SdpProblem) -> dict:
 
 
 def problem_from_json(data: dict) -> SdpProblem:
-    """Inverse of ``problem_to_json``; ValueError unless the file has one
-    constraint entry per block, with lists k, i, j, re and im of one length,
-    every index an integer in its block's range and no (k, i, j) of a block
-    listed twice."""
-    dims = tuple(data["blocks"])
+    """Inverse of ``problem_to_json``; ValueError unless the file's blocks
+    are a list of positive integers and it has one constraint entry per
+    block, each with lists k, i, j, re and im of one length, every index an
+    integer in its block's range and no (k, i, j) of a block listed twice."""
+    dims = data["blocks"]
+    if not isinstance(dims, list) or not all(type(d) is int and d > 0 for d in dims):
+        raise ValueError(f"blocks {dims!r} is not a list of positive integers")
     objective = (
         None if data["objective"] is None else block_matrix_from_json(data["objective"])
     )
@@ -926,6 +912,9 @@ def problem_from_json(data: dict) -> SdpProblem:
         raise ValueError(f"{len(data['constraints'])} constraint entries for {len(dims)} blocks")
     stacks = []
     for d, entries in zip(dims, data["constraints"]):
+        missing = [key for key in ("k", "i", "j", "re", "im") if key not in entries]
+        if missing:
+            raise ValueError(f"constraint entry lacks {', '.join(missing)}")
         if len({len(entries[key]) for key in ("k", "i", "j", "re", "im")}) != 1:
             raise ValueError("constraint lists k, i, j, re and im differ in length")
         index = tuple(np.asarray(entries[key]) for key in "kij")

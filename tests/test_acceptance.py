@@ -7,7 +7,7 @@ Each criterion prints its own pass/fail line as it completes.
 
 import pytest
 
-from qmemwit import acceptance, cli
+from qmemwit import acceptance, cli, ising
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +86,11 @@ def test_criterion_6_dps2_rows_against_ppt():
     assert disagree == [(2.0, 2.0, 0.01, "quantum_memory")]
     assert unverified == [(3.0, 3.0)]
     assert acceptance.dps2_disagreements(ppt, rows[:1]) == ([], [])
+
+
+def test_criterion_2_extension_is_the_h0_points_own():
+    # the h = 0 extension of (J, t) verifies for W(J, 0, t) alone
+    assert acceptance._h0_extension_report(ising.process_matrix(1.0, 0.0, 0.7), 1.0, 0.7).ok
+    for w in (ising.process_matrix(1.0, 1.0, 0.7), ising.process_matrix(1.0, 0.0, 1.0)):
+        report = acceptance._h0_extension_report(w, 1.0, 0.7)
+        assert not report.checks["primal_residual"][0]

@@ -1,5 +1,9 @@
 import gc
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from functools import cached_property
 
@@ -354,7 +358,7 @@ class TestSchur:
     def assert_matches(self, ops, seed):
         rng = np.random.default_rng(seed)
         ws = [random_pd(rng, d) for d in ops.block_dims]
-        got, ref = ops._schur(ws), self.reference(ops, ws)
+        got, ref = ops._schur(ws, ops._schur_buffers()), self.reference(ops, ws)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_dps2_template(self):
@@ -387,37 +391,23 @@ class TestSchur:
         assert [i for i, *_ in ops._block_csr] == [0]
         self.assert_matches(ops, 59)
 
-    def test_consecutive_assemblies_share_the_workspace(self):
+    def test_reused_buffers_assemble_as_fresh_ones(self):
         from qmemwit import detect
 
         ops = detect._dps2_template((2, 2, 2)).constraint_set
         rng = np.random.default_rng(61)
-        first_ws = [random_pd(rng, d) for d in ops.block_dims]
-        second_ws = [2.0 * random_pd(rng, d) for d in ops.block_dims]
-        first = ops._schur(first_ws)
-        ref = self.reference(ops, first_ws)
-        assert np.max(np.abs(first - ref)) <= 1e-12 * np.max(np.abs(ref))
-        second = ops._schur(second_ws)
-        ref = self.reference(ops, second_ws)
-        assert np.max(np.abs(second - ref)) <= 1e-12 * np.max(np.abs(ref))
-        # valid until the next call on the set: both names hold the second assembly
-        assert second is first
-
-    def test_repeated_assembly_allocates_less_than_a_complex_m_by_m(self):
-        import tracemalloc
-
-        from qmemwit import detect
-
-        ops = detect._dps2_template((2, 2, 2)).constraint_set
-        ws = [random_pd(np.random.default_rng(67), d) for d in ops.block_dims]
-        ops._schur(ws)
-        tracemalloc.start()
-        try:
-            ops._schur(ws)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < ops.m ** 2 * 16
+        scalings = [
+            [random_pd(rng, d) for d in ops.block_dims],
+            [2.0 * random_pd(rng, d) for d in ops.block_dims],
+        ]
+        fresh_ms = [ops._schur(ws, ops._schur_buffers()) for ws in scalings]
+        kept = [big_m.copy() for big_m in fresh_ms]
+        reused = ops._schur_buffers()
+        for ws, want in zip(scalings, kept):
+            assert np.array_equal(ops._schur(ws, reused), want)
+        # assemblies into another pair leave each fresh pair's M as it was
+        for big_m, want in zip(fresh_ms, kept):
+            assert np.array_equal(big_m, want)
 
 
 def identity_blocks(ops):
@@ -460,7 +450,7 @@ class TestStartFactor:
             random_problem(np.random.default_rng(73)).constraint_set,
         ):
             factor = ops._start[0]
-            ref, retries = sdp._factor(ops._schur(identity_blocks(ops)))
+            ref, retries = sdp._factor(ops._schur(identity_blocks(ops), ops._schur_buffers()))
             assert retries == 0
             assert factor[1] == ref[1]
             assert factor[0].tobytes() == ref[0].tobytes()
@@ -476,9 +466,9 @@ class TestStartFactor:
         calls = []
         schur = sdp.ConstraintSet._schur
 
-        def counted(self, ws):
+        def counted(self, ws, buffers):
             calls.append(1)
-            return schur(self, ws)
+            return schur(self, ws, buffers)
 
         monkeypatch.setattr(sdp.ConstraintSet, "_schur", counted)
         # without the shifted stop, (1.3, 0.7) runs past iteration 1
@@ -510,7 +500,7 @@ class TestStartFactor:
         ]
         ops = problems[0].constraint_set
         problems[1].constraint_set = ops
-        gram = ops._schur(identity_blocks(ops)).copy()    # _start assembles again
+        gram = ops._schur(identity_blocks(ops), ops._schur_buffers())
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
         factor = ops._start[0]
@@ -867,7 +857,8 @@ class TestEntries:
 
 class TestMemory:
     """What a set keeps after construction and what a shifted Schur
-    factorization allocates, as tracemalloc counts them."""
+    factorization allocates, as tracemalloc counts them, and the page faults
+    of repeated solves."""
 
     def test_set_keeps_no_dense_stack(self):
         from qmemwit import detect
@@ -891,7 +882,7 @@ class TestMemory:
         from qmemwit import detect
 
         ops = detect._Dps2Template((2, 2, 2)).constraint_set
-        big_m = ops._schur(identity_blocks(ops)).copy()
+        big_m = ops._schur(identity_blocks(ops), ops._schur_buffers())
         big_m[0, :] = big_m[:, 0] = 0.0
         m = len(big_m)
         tracemalloc.start()
@@ -906,6 +897,29 @@ class TestMemory:
         shift = np.trace(big_m) / m * 10.0 ** -14
         ref = scipy.linalg.cho_factor(big_m + shift * np.eye(m), lower=True, check_finite=False)
         assert np.array_equal(factor[0], ref[0]) and factor[1] == ref[1]
+
+    def test_dps2_solves_fault_in_few_pages(self):
+        # A solve whose Schur temporaries the allocator maps afresh faults in
+        # thousands of pages per point.  Run in a fresh interpreter: after other
+        # tests have grown the heap, the same probe reads no faults either way.
+        script = """
+import resource
+from qmemwit import detect, ising
+ws = [ising.process_matrix(j / 3, h / 3, 1.0) for j in range(1, 6) for h in range(4)]
+detect.dps2_feasibility(ws[0])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for w in ws:
+    detect.dps2_feasibility(w)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, len(ws))
+"""
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(sdp.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+        faults, points = map(int, out.split())
+        assert points == 20
+        assert faults < 100 * points
 
 
 class TestEigOracle:
@@ -1123,6 +1137,19 @@ class TestSerialization:
         assert len(data["blocks"]) == 1
         data["constraints"] = data["constraints"] * 2
         with pytest.raises(ValueError, match="2 constraint entries for 1 blocks"):
+            sdp.problem_from_json(data)
+
+    @pytest.mark.parametrize("blocks", [[8.0], [8.5], ["8"], [0], 8])
+    def test_blocks_not_positive_integers_rejected(self, blocks):
+        data = self.witness_dump()
+        data["blocks"] = blocks
+        with pytest.raises(ValueError, match="not a list of positive integers"):
+            sdp.problem_from_json(data)
+
+    def test_constraint_entry_without_a_list_rejected(self):
+        data = self.witness_dump()
+        del data["constraints"][0]["im"]
+        with pytest.raises(ValueError, match="constraint entry lacks im"):
             sdp.problem_from_json(data)
 
     def test_constraint_index_out_of_range_rejected(self):
