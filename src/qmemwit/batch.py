@@ -16,6 +16,17 @@ is not the reference's call: it multiplies by the one value of the nonzero
 entries of |phi+><phi+|, which gives the reference's values because every
 other term of its contraction is an exact zero.
 
+The tolerance norms are the other numbers that are not the reference's
+calls: ||W||_2 in the PSD floor and the ``ppt`` threshold, and ||W|| in
+``norm`` for the Markovian zero.  The kernel reads them off the spectra of
+its own ``eigvalsh`` calls in the comb check, where the reference takes
+SVDs; they differ by rounding only and feed only 1e-9-relative thresholds,
+with margins of 10^6 or more on the 151x151 grid, so the values and
+verdicts stay bit for bit the reference's.  Each row makes five batched
+LAPACK calls: ``eigh`` of H, ``eigvalsh`` of W, ``eigh`` of W^{T_{A_I}},
+``eigvalsh`` of the Markovian marginal and, for the trace norm, the SVD of
+W minus that marginal.
+
 A point that fails a check the reference makes raises nothing here: its
 error text is recorded for that point and the rest of the row carries on.
 """
@@ -68,26 +79,34 @@ def _partial_trace(w: np.ndarray, traced: str) -> np.ndarray:
     return out.reshape(-1, d, d)
 
 
-def _comb_errors(w: np.ndarray, norm2: np.ndarray) -> list[str | None]:
-    """``process.validate_comb`` on each matrix of the stack; None where it holds."""
+def _comb_errors(w: np.ndarray) -> tuple[list[str | None], np.ndarray]:
+    """``process.validate_comb`` on each matrix of the stack, None where it
+    holds, and the (N, 8) singular values of the hermitized stack.
+
+    The singular values are the magnitudes of the spectrum that the PSD check
+    computes anyway.  The stacks the kernel checks are hermitized when built,
+    so they are each matrix's own and give its tolerance norms: ||W||_2 is
+    their maximum, ||W||_1 their sum and ||W||_F the root of their squares' sum.
+    """
     herm = _max_abs(w - _dagger(w))
     sym = _hermitized(w)
-    lam = np.linalg.eigvalsh(sym)[:, 0]
+    spectra = np.linalg.eigvalsh(sym)
+    sv = np.abs(spectra)
     tr_err = np.abs(np.trace(w, axis1=1, axis2=2) - 2)
     lhs = np.kron(_partial_trace(sym, "c"), np.eye(2) / 2)
     rhs = np.kron(_partial_trace(sym, "bc"), np.eye(4) / 4)
     comb = _max_abs(lhs - rhs)
-    floor = -pr.PSD_TOL * (1.0 + norm2)
+    floor = -pr.PSD_TOL * (1.0 + sv.max(axis=-1))
     # a report is built only where a condition fails
-    ok = pr.comb_ok(herm, lam, tr_err, comb, floor)
+    ok = pr.comb_ok(herm, spectra[:, 0], tr_err, comb, floor)
     errors: list[str | None] = [None] * len(w)
     for k in np.flatnonzero(~ok):
         report = pr.CombReport(
-            float(herm[k]), float(lam[k]), float(tr_err[k]), float(comb[k]),
+            float(herm[k]), float(spectra[k, 0]), float(tr_err[k]), float(comb[k]),
             psd_floor=float(floor[k]),
         )
         errors[k] = f"not a valid process matrix: {report}"
-    return errors
+    return errors, sv
 
 
 def process_matrices(J: float, hs, t: float) -> tuple[np.ndarray, list[str | None]]:
@@ -141,11 +160,11 @@ def evaluate_row(
         raise ValueError(f"unknown norm {norm!r}")
     w, errors = process_matrices(J, hs, t)
     built = [k for k, err in enumerate(errors) if err is None]
-    sv = np.linalg.svd(w[built], compute_uv=False)
+    comb_errors, sv = _comb_errors(w[built])
+    for k, err in zip(built, comb_errors):
+        errors[k] = err
     norm2 = sv.max(axis=-1)
     w_norms = sv.sum(axis=-1) if norm == "trace" else np.sqrt((sv**2).sum(axis=-1))
-    for k, err in zip(built, _comb_errors(w[built], norm2)):
-        errors[k] = err
     valid = [i for i, k in enumerate(built) if errors[k] is None]
     points = [built[i] for i in valid]
     n = len(errors)
@@ -192,7 +211,7 @@ def _distance(
     # np.kron's product: marginal[(i, k), (j, l)] = rho[i, j] channel[k, l]
     product = rho[:, :, None, :, None] * channel[:, None, :, None, :]
     marginal = _hermitized(product.reshape(-1, 8, 8))
-    errors = _comb_errors(marginal, np.linalg.svd(marginal, compute_uv=False).max(axis=-1))
+    errors, _ = _comb_errors(marginal)
     diff = w - marginal
     if norm == "trace":
         values = np.linalg.svd(diff, compute_uv=False).sum(axis=-1)
@@ -204,5 +223,4 @@ def _distance(
             out.errors[k] = errors[i]
             continue
         out.values[k] = values[i]
-        markovian = pr.is_markovian(values[i], w_norms[i])
-        out.verdicts[k] = "markovian" if markovian else "non_markovian"
+        out.verdicts[k] = "markovian" if pr.is_markovian(values[i], w_norms[i]) else "non_markovian"

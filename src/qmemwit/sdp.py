@@ -875,8 +875,22 @@ def block_matrix_to_json(bm: BlockMatrix) -> list[dict]:
     return [{"re": b.real.tolist(), "im": b.imag.tolist()} for b in bm.blocks]
 
 
-def block_matrix_from_json(data: list[dict]) -> BlockMatrix:
-    return BlockMatrix([np.array(d["re"]) + 1j * np.array(d["im"]) for d in data])
+def block_matrix_from_json(data: list[dict], dims: list[int]) -> BlockMatrix:
+    """Inverse of ``block_matrix_to_json`` for blocks of sizes ``dims``;
+    ValueError naming the field unless each block has d x d lists re and im."""
+    if len(data) != len(dims):
+        raise ValueError(f"{len(data)} objective blocks for {len(dims)} blocks")
+    blocks = []
+    for n, (d, block) in enumerate(zip(dims, data)):
+        parts = []
+        for key in ("re", "im"):
+            if key not in block:
+                raise ValueError(f"objective block {n} lacks {key}")
+            parts.append(np.array(block[key], dtype=float))
+            if parts[-1].shape != (d, d):
+                raise ValueError(f"objective block {n} {key} is {parts[-1].shape}, not ({d}, {d})")
+        blocks.append(parts[0] + 1j * parts[1])
+    return BlockMatrix(blocks)
 
 
 def problem_to_json(p: SdpProblem) -> dict:
@@ -898,14 +912,15 @@ def problem_to_json(p: SdpProblem) -> dict:
 
 def problem_from_json(data: dict) -> SdpProblem:
     """Inverse of ``problem_to_json``; ValueError unless the file's blocks
-    are a list of positive integers and it has one constraint entry per
-    block, each with lists k, i, j, re and im of one length, every index an
-    integer in its block's range and no (k, i, j) of a block listed twice."""
+    are a list of positive integers, its objective is null or one d x d pair
+    re, im per block, and it has one constraint entry per block, each with
+    lists k, i, j, re and im of one length, every index an integer in its
+    block's range and no (k, i, j) of a block listed twice."""
     dims = data["blocks"]
     if not isinstance(dims, list) or not all(type(d) is int and d > 0 for d in dims):
         raise ValueError(f"blocks {dims!r} is not a list of positive integers")
     objective = (
-        None if data["objective"] is None else block_matrix_from_json(data["objective"])
+        None if data["objective"] is None else block_matrix_from_json(data["objective"], dims)
     )
     b = np.array(data["b"], dtype=float)
     if len(data["constraints"]) != len(dims):

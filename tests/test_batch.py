@@ -5,6 +5,10 @@ the verdict and status as strings.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -68,10 +72,14 @@ def test_random_points_match_reference(norm, J, hs, t):
 
 
 def test_h0_row_matches_reference():
-    # W^{T_{A_I}} has least eigenvalue 0 here: the values are rounding noise
-    config = cli.SweepConfig(j_range=GRID, h_range=cli.Range(0.0, 0.0, 1), methods=BATCHED)
-    expected = [r for J in GRID.values() for r in reference_rows(J, [0.0], 1.0)]
-    assert_same_rows(cli.sweep(config), expected)
+    # W^{T_{A_I}} has least eigenvalue 0 here: the values are rounding noise,
+    # next to a threshold set by the kernel's own tolerance norms
+    for norm in pr.NORMS:
+        config = cli.SweepConfig(
+            j_range=GRID, h_range=cli.Range(0.0, 0.0, 1), methods=BATCHED, norm=norm
+        )
+        expected = [r for J in GRID.values() for r in reference_rows(J, [0.0], 1.0, norm=norm)]
+        assert_same_rows(cli.sweep(config), expected)
 
 
 @pytest.mark.parametrize("norm", ["trace", "frobenius"])
@@ -85,13 +93,16 @@ def test_j0_column_matches_reference(norm):
 
 
 def test_markovian_points_match_reference():
+    # ppt and markov_distance are at rounding level here, next to thresholds
+    # set by the kernel's own tolerance norms
     by_j: dict[float, list[float]] = {}
     for J, h in ising.markovian_points(10.5, 10.5):
         by_j.setdefault(J, []).append(h)
-    for J, hs in by_j.items():
-        rows = kernel_rows(J, hs, 1.0)
-        assert_same_rows(rows, reference_rows(J, hs, 1.0))
-        assert {r.verdict for r in rows if r.method == "markov_distance"} == {"markovian"}
+    for norm in pr.NORMS:
+        for J, hs in by_j.items():
+            rows = kernel_rows(J, hs, 1.0, norm)
+            assert_same_rows(rows, reference_rows(J, hs, 1.0, norm=norm))
+            assert {r.verdict for r in rows if r.method == "markov_distance"} == {"markovian"}
 
 
 @pytest.mark.parametrize("norm", ["trace", "frobenius"])
@@ -106,6 +117,23 @@ def test_strided_cli_sweep_writes_the_reference_csv(tmp_path, norm):
     axis = GRID.values(stride=5)
     expected = [r for J in axis for r in reference_rows(J, axis, 1.0, norm=norm)]
     assert out.read_text() == cli.rows_to_csv(expected)
+
+
+def test_sweep_csv_is_independent_of_blas_threads(tmp_path):
+    """A strided ppt + markov_distance sweep writes the same bytes at one and
+    at two OpenBLAS threads; the two runs go one after the other."""
+    src = str(pathlib.Path(batch.__file__).parents[1])
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "qmemwit", "sweep", "--stride", "10",
+             "--method", "ppt", "--method", "markov_distance", "--out", str(out)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src},
+            capture_output=True, check=True,
+        )
+        csvs.append(out.read_bytes())
+    assert csvs[0].count(b"\n") == 1 + 16 * 16 * len(BATCHED) and csvs[0] == csvs[1]
 
 
 def test_mixed_methods_keep_config_order_per_point():

@@ -243,8 +243,9 @@ class TestDps2:
             assert "stop" not in report.sdp_run[1].info
 
     def test_threads_share_the_template(self):
-        # every thread solves on the one cached ConstraintSet; its Schur
-        # buffers are per thread, so threads give the serial results
+        # every thread solves on the one cached ConstraintSet, which holds
+        # only read-only data; each solve takes its own Schur buffers, so
+        # threads give the serial results
         grid = [k / 3 for k in range(1, 9)]
         points = [(j, 0.0) for j in grid] + [(1.0, 1.0), (2.0, 1.0), (1.0, 2.5), (3.0, 3.0)]
         ws = [ising.process_matrix(j, h, 1.0) for j, h in points]

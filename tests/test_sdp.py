@@ -1146,6 +1146,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not a list of positive integers"):
             sdp.problem_from_json(data)
 
+    def test_extra_objective_blocks_rejected(self):
+        data = self.witness_dump()
+        data["objective"] = data["objective"] * 2
+        with pytest.raises(ValueError, match="2 objective blocks for 1 blocks"):
+            sdp.problem_from_json(data)
+
+    def test_objective_block_without_im_rejected(self):
+        data = self.witness_dump()
+        del data["objective"][0]["im"]
+        with pytest.raises(ValueError, match="objective block 0 lacks im"):
+            sdp.problem_from_json(data)
+
+    def test_objective_block_of_the_wrong_shape_rejected(self):
+        data = self.witness_dump()
+        data["objective"][0]["re"] = data["objective"][0]["re"][:3]
+        with pytest.raises(ValueError, match=r"objective block 0 re is \(3, 8\), not \(8, 8\)"):
+            sdp.problem_from_json(data)
+
     def test_constraint_entry_without_a_list_rejected(self):
         data = self.witness_dump()
         del data["constraints"][0]["im"]
