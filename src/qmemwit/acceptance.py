@@ -244,12 +244,13 @@ def dps2_disagreements(ppt: dict, dps2_rows) -> tuple[list, list]:
     Where the ppt value lambda at a row's point exceeds PPT_MARGIN in
     magnitude, the row must read ``quantum_memory`` for lambda < 0 and
     ``inconclusive`` for lambda > 0; each contradiction is listed as
-    (J, h, lambda, verdict).  A row is verified only if its status is
-    ``optimal`` or ``infeasible``; the points of the others are listed too.
+    (J, h, lambda, verdict).  The points of the rows that ``cli._failed``
+    counts as failed, those that make ``sweep`` exit with a solver failure,
+    are listed as unverified.
     """
     disagree, unverified = [], []
     for r in dps2_rows:
-        if r.status not in (sdp.OPTIMAL, sdp.INFEASIBLE):
+        if cli._failed(r.status):
             unverified.append((r.J, r.h))
         lam = ppt[(r.J, r.h)].value
         if abs(lam) > PPT_MARGIN:

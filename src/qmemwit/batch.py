@@ -27,6 +27,11 @@ LAPACK calls: ``eigh`` of H, ``eigvalsh`` of W, ``eigh`` of W^{T_{A_I}},
 ``eigvalsh`` of the Markovian marginal and, for the trace norm, the SVD of
 W minus that marginal.
 
+The stacks the kernel checks, W and the Markovian marginal, are built as
+(a + a^H) / 2, which is Hermitian entry for entry in IEEE arithmetic, so the
+comb check repeats neither the reference's Hermiticity defect nor its
+hermitization.
+
 A point that fails a check the reference makes raises nothing here: its
 error text is recorded for that point and the rest of the row carries on.
 """
@@ -80,30 +85,28 @@ def _partial_trace(w: np.ndarray, traced: str) -> np.ndarray:
 
 
 def _comb_errors(w: np.ndarray) -> tuple[list[str | None], np.ndarray]:
-    """``process.validate_comb`` on each matrix of the stack, None where it
-    holds, and the (N, 8) singular values of the hermitized stack.
+    """``process.validate_comb`` on each matrix of a stack that ``_hermitized``
+    built, None where it holds, and the (N, 8) singular values of the stack.
 
-    The singular values are the magnitudes of the spectrum that the PSD check
-    computes anyway.  The stacks the kernel checks are hermitized when built,
-    so they are each matrix's own and give its tolerance norms: ||W||_2 is
-    their maximum, ||W||_1 their sum and ||W||_F the root of their squares' sum.
+    Such a stack is exactly Hermitian, so the reference's Hermiticity defect
+    (reported as 0) and its hermitization are not repeated.  The singular
+    values are the magnitudes of the spectrum that the PSD check computes
+    anyway: ||W||_2 is their maximum, ||W||_1 their sum and ||W||_F the root
+    of their squares' sum.
     """
-    herm = _max_abs(w - _dagger(w))
-    sym = _hermitized(w)
-    spectra = np.linalg.eigvalsh(sym)
+    spectra = np.linalg.eigvalsh(w)
     sv = np.abs(spectra)
     tr_err = np.abs(np.trace(w, axis1=1, axis2=2) - 2)
-    lhs = np.kron(_partial_trace(sym, "c"), np.eye(2) / 2)
-    rhs = np.kron(_partial_trace(sym, "bc"), np.eye(4) / 4)
+    lhs = np.kron(_partial_trace(w, "c"), np.eye(2) / 2)
+    rhs = np.kron(_partial_trace(w, "bc"), np.eye(4) / 4)
     comb = _max_abs(lhs - rhs)
     floor = -pr.PSD_TOL * (1.0 + sv.max(axis=-1))
     # a report is built only where a condition fails
-    ok = pr.comb_ok(herm, spectra[:, 0], tr_err, comb, floor)
+    ok = pr.comb_ok(0.0, spectra[:, 0], tr_err, comb, floor)
     errors: list[str | None] = [None] * len(w)
     for k in np.flatnonzero(~ok):
         report = pr.CombReport(
-            float(herm[k]), float(spectra[k, 0]), float(tr_err[k]), float(comb[k]),
-            psd_floor=float(floor[k]),
+            0.0, float(spectra[k, 0]), float(tr_err[k]), float(comb[k]), psd_floor=float(floor[k])
         )
         errors[k] = f"not a valid process matrix: {report}"
     return errors, sv

@@ -467,11 +467,18 @@ def export_witness(
 
 
 def reevaluate_witness_file(path: str) -> float:
-    """Re-import an exported witness and recompute Tr(Z W) at its point."""
+    """Re-import an exported witness and recompute Tr(Z W) at its point;
+    ValueError naming the field the file lacks."""
     with open(path) as fh:
         payload = json.load(fh)
+    for key in ("operator", "point"):
+        if key not in payload:
+            raise ValueError(f"witness file lacks {key}")
     z = tl.from_json_dict(payload["operator"])
     p = payload["point"]
+    for key in ("J", "h", "t"):
+        if key not in p:
+            raise ValueError(f"witness file point lacks {key}")
     w = ising.process_matrix(p["J"], p["h"], p["t"])
     return float(np.trace(tl.reorder(z, pr.PROCESS_LABELS).mat @ w.op.mat).real)
 

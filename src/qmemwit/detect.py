@@ -279,7 +279,7 @@ class _Dps2Template:
         self.m = self.constraint_set.m
 
     def problem(self, w: ProcessMatrix) -> sdp.SdpProblem:
-        rho = tl.reorder(w.op, PROCESS_LABELS).mat / w.op.trace().real
+        rho = w.op.mat / w.op.trace().real
         entries = rho[self.marginal_index]
         b = np.zeros(self.m)
         b[: entries.size] = np.where(self.marginal_real, entries.real, entries.imag)
@@ -331,7 +331,7 @@ def dps2_feasibility(w: ProcessMatrix) -> WitnessReport:
         marginal = len(template.marginal_basis)
         z = np.tensordot(-result.y[:marginal], template.marginal_basis, axes=(0, 0))
         witness = tl.operator(list(zip(PROCESS_LABELS, w.dims)), z).hermitized()
-        value = float(np.trace(witness.mat @ tl.reorder(w.op, PROCESS_LABELS).mat).real)
+        value = float(np.trace(witness.mat @ w.op.mat).real)
         tol = tol_detect(w)
         if value < -tol:
             return WitnessReport(METHOD_DPS2, VERDICT_QUANTUM, value, witness, diagnostics, run)

@@ -171,8 +171,8 @@ def link_product(x: TensorOperator, y: TensorOperator) -> TensorOperator:
             raise ValueError(f"shared label {name!r} has mismatched dims")
     rest_x = [name for name in x.labels if name not in common]
     rest_y = [name for name in y.labels if name not in common]
-    xo = tl.reorder(x, rest_x + common) if common or rest_x != list(x.labels) else x
-    yo = tl.reorder(y, common + rest_y) if common or rest_y != list(y.labels) else y
+    xo = tl.reorder(x, rest_x + common)
+    yo = tl.reorder(y, common + rest_y)
     dp = math.prod(x.space.dim(n) for n in rest_x)
     dc = math.prod(x.space.dim(n) for n in common)
     dq = math.prod(y.space.dim(n) for n in rest_y)

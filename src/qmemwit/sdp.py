@@ -76,7 +76,8 @@ W_b^T) is complex; the second is real, R_b [Re u^T; Im u^T] with R_b =
 [Re A | -Im A] on the same rows, since only the real part of conj(S_b) u^T
 enters M.  M and [Re u^T; Im u^T] live in buffers that each solve takes
 once (``ConstraintSet._schur_buffers``) and each of its assemblies
-overwrites; W kron W^T and the two products' results are allocated per
+overwrites, and a retried factorization shifts that M's diagonal in place
+(``_factor``); W kron W^T and the two products' results are allocated per
 block.
 
 The module keeps no state between solves but what each ``ConstraintSet``
@@ -215,7 +216,8 @@ class ConstraintSet:
       which ``apply``, ``adjoint``, ``stacks`` and ``problem_to_json`` read;
     - ``_conj_csr``: the rows vec(conj A_k) over all blocks, so that
       <A_k, X> = Re(row_k . vec X), through which the solver applies A and A*
-      (``_a_of``, and ``_a_adj`` through the once-taken transpose);
+      (``_a_of``, and ``_a_adj`` through ``_conj_csr_t``, its transpose taken
+      once, a view on the same arrays);
     - ``_block_csr``: per block with data, (block, index, S_b, R_b) for the
       Schur complement.  The span of block b runs from the first to the last
       constraint with data in that block.  S_b holds the rows vec(conj A_k) of
@@ -226,10 +228,11 @@ class ConstraintSet:
     - ``_block_traces``: per block b, A(E_b), the traces of the constraints'
       block-b parts, for the start state.
 
-    These, and the solver's start state (the Cholesky factor of the Schur
-    complement there, the constant part of the start point's projection and
-    the block shifts of the Farkas stop test), are read-only and never
-    written again.  The set holds nothing that a solve writes: each solve
+    These, and the solver's start state ``_start`` (the Cholesky factor of
+    the Schur complement there, the constant part of the start point's
+    projection and the block shifts of the Farkas stop test), are read-only
+    and never written again; ``_start`` is the set's one lazy cache, computed
+    at the first solve.  The set holds nothing that a solve writes: each solve
     assembles its Schur complements into buffers of its own
     (``_schur_buffers``).  So threads may solve problems on one set at once,
     and the sweep's worker processes each hold their own sets.
@@ -264,6 +267,8 @@ class ConstraintSet:
         # Schur temporaries are reused from the heap instead of being mapped
         # and page-faulted in afresh.
         self._conj_csr = scipy.sparse.csr_matrix(np.concatenate(flats, axis=1)).conj()
+        # a CSC view on _conj_csr's arrays: each .T builds a new matrix
+        self._conj_csr_t = self._conj_csr.T
         self._block_csr = _schur_rows(flats)
         self._block_traces = _read_only(*(np.einsum("kii->k", s).real for s in stacks))
 
@@ -299,11 +304,6 @@ class ConstraintSet:
             blk.imag = np.bincount(flat, weights=yk * v.imag, minlength=d * d)
             blocks.append(blk.reshape(d, d))
         return BlockMatrix(blocks)
-
-    @cached_property
-    def _conj_csr_t(self):
-        """``_conj_csr`` transposed once: each .T builds a new matrix."""
-        return self._conj_csr.T
 
     def _a_of(self, blocks) -> np.ndarray:
         """A(X) = (<A_k, X>)_k of the blocks of X, through the sparse rows."""
@@ -497,19 +497,18 @@ def _scaled_step(lvs, h_hats) -> float:
 def _factor(big_m):
     """(cho_factor, retries) of the Schur complement: the factor is retried
     with growing diagonal shifts, retries counts the shifted attempts, and
-    the factor is None when every attempt fails.  Each retry writes big_m's
-    diagonal plus its shift into one copy of big_m, the same values as
-    big_m + shift * I."""
+    the factor is None when every attempt fails.  Each retry overwrites the
+    diagonal of big_m in place with the given diagonal plus its shift, the
+    same values as big_m + shift * I, so a retry leaves big_m shifted; no
+    caller reads big_m after the factorization."""
     m = big_m.shape[0]
     scale = max(np.trace(big_m) / max(m, 1), 1e-30)
-    shifted = big_m
+    diagonal = np.diagonal(big_m).copy()
     for attempt in range(4):
         try:
-            return scipy.linalg.cho_factor(shifted, lower=True, check_finite=False), attempt
+            return scipy.linalg.cho_factor(big_m, lower=True, check_finite=False), attempt
         except np.linalg.LinAlgError:
-            if shifted is big_m:
-                shifted = big_m.copy()
-            np.fill_diagonal(shifted, np.diagonal(big_m) + scale * 10.0 ** (-14 + 4 * attempt))
+            np.fill_diagonal(big_m, diagonal + scale * 10.0 ** (-14 + 4 * attempt))
     return None, 3
 
 
@@ -625,7 +624,6 @@ def solve(problem: SdpProblem) -> SdpResult:
     cnorm = 1.0 + np.sqrt(sum(np.linalg.norm(cb) ** 2 for cb in c))
 
     best = None
-    best_score = np.inf
     best_parts = (np.inf, np.inf, np.inf)
     trajectory: list[tuple] = []
     info = {"iterations": 0, "trajectory": trajectory, "schur_shifts": 0}
@@ -666,13 +664,12 @@ def solve(problem: SdpProblem) -> SdpResult:
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         score = max(pres, dres, gap)
         trajectory.append((it, mu, pres, dres, gap, tau, kappa))
-        if score < best_score:
-            best_score = score
+        if score < max(best_parts):
             best_parts = (pres, dres, gap)
             best = ([xi / tau for xi in x], y / tau)
         if pres <= 0.1 * FEAS_TOL and dres <= 0.1 * FEAS_TOL and gap <= 0.1 * GAP_TOL:
             return optimal(*best)
-        if len(trajectory) > 12 and best_score > 0.5 * max(trajectory[-12][2:5]):
+        if len(trajectory) > 12 and max(best_parts) > 0.5 * max(trajectory[-12][2:5]):
             # stalled; fall through to the incumbent-acceptance check below
             info["reason"] = "progress stalled"
             break

@@ -248,13 +248,9 @@ def trace_and_replace(x: TensorOperator, labels: Iterable[str]) -> TensorOperato
     and self-adjoint for the Hilbert-Schmidt pairing.
     """
     sel = set(labels)
-    x.space.positions(sel)
     reduced = partial_trace(x, sel)
     rep = x.space.restricted(sel)
     filler = TensorOperator(rep, np.eye(rep.total_dim, dtype=complex) / rep.total_dim)
-    if not reduced.labels:
-        out = filler * reduced.mat[0, 0]
-        return reorder(out, x.labels)
     return reorder(kron(reduced, filler), x.labels)
 
 
@@ -320,6 +316,17 @@ def to_json_dict(x: TensorOperator) -> dict:
 
 
 def from_json_dict(data: dict) -> TensorOperator:
+    """Inverse of ``to_json_dict``; ValueError naming the field unless data
+    has labels as [name, dim] pairs with an integer dim and re and im of one
+    shape."""
+    for key in ("labels", "re", "im"):
+        if key not in data:
+            raise ValueError(f"operator lacks {key}")
+    pairs = data["labels"]
+    if not all(isinstance(f, (list, tuple)) and len(f) == 2 and isinstance(f[1], int) for f in pairs):
+        raise ValueError(f"operator labels {pairs} are not [name, dim] pairs")
     factors = tuple((str(name), int(dim)) for name, dim in data["labels"])
-    mat = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-    return TensorOperator(SubsystemSpace(factors), mat)
+    re, im = np.array(data["re"], dtype=float), np.array(data["im"], dtype=float)
+    if re.shape != im.shape:
+        raise ValueError(f"operator re is {re.shape} but im is {im.shape}")
+    return TensorOperator(SubsystemSpace(factors), re + 1j * im)

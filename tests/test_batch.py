@@ -157,6 +157,23 @@ def test_mixed_methods_keep_config_order_per_point():
             )
 
 
+def test_kernel_stacks_are_exactly_hermitian():
+    # _comb_errors takes no Hermiticity defect and no hermitization: the stacks
+    # it checks come from _hermitized, whose (a + a^H) / 2 is Hermitian entry
+    # for entry, so the reference's defect is 0 and its hermitization changes nothing
+    def hermitian(s):
+        return np.array_equal(s, s.conj().swapaxes(-1, -2))
+
+    h0 = np.concatenate([batch.process_matrices(J, [0.0], 1.0)[0] for J in GRID.values()])
+    j0, _ = batch.process_matrices(0.0, GRID.values(), 1.0)
+    generic, _ = batch.process_matrices(1.3, GRID.values(), 0.7)
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((64, 8, 8)) + 1j * rng.standard_normal((64, 8, 8))
+    assert not hermitian(a)
+    for stack in (h0, j0, generic, batch._hermitized(a)):
+        assert hermitian(stack)
+
+
 def test_invalid_process_matrix_fails_only_its_point(monkeypatch):
     # the SDP methods read the kernel's W, so they see the perturbation too
     methods = (*BATCHED, "dps2", "ppt_sdp")

@@ -327,6 +327,20 @@ class TestWitnessExport:
         again = cli.reevaluate_witness_file(str(path))
         assert abs(again - payload["value"]) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "where, key, message",
+        [(None, "operator", "witness file lacks operator"),
+         (None, "point", "witness file lacks point"),
+         ("point", "t", "witness file point lacks t")],
+    )
+    def test_reevaluate_names_a_missing_field(self, tmp_path, where, key, message):
+        path = tmp_path / "w.json"
+        payload = cli.export_witness(1.0, 1.0, 1.0, "ppt", str(path))
+        del (payload[where] if where else payload)[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            cli.reevaluate_witness_file(str(path))
+
     def test_decomposition_reconstructs_witness(self, tmp_path):
         path = tmp_path / "w.json"
         payload = cli.export_witness(2.0, 1.0, 1.0, "ppt", str(path))

@@ -189,6 +189,18 @@ class TestTraceAndReplace:
         x = random_hermitian(9, [("A", 2), ("B", 2), ("C", 2)])
         assert tl.trace_and_replace(x, {"B"}).labels == ("A", "B", "C")
 
+    def test_all_factors_give_the_normalized_identity(self):
+        # every factor traced: Tr(x) times 1/8, bit for bit, on x's own labels.
+        # The diagonal holds quarters, so that Tr(x) has no rounding in any
+        # summation order, and np.trace agrees with the partial trace's sum
+        rng = np.random.default_rng(29)
+        mat = random_op(29, [("C", 2), ("A", 2), ("B", 2)]).mat.copy()
+        np.fill_diagonal(mat, (rng.integers(-8, 9, 8) + 1j * rng.integers(-8, 9, 8)) / 4)
+        x = tl.operator([("C", 2), ("A", 2), ("B", 2)], mat)
+        out = tl.trace_and_replace(x, ["A", "B", "C"])
+        assert out.labels == ("C", "A", "B")
+        assert np.array_equal(out.mat, np.eye(8, dtype=complex) / 8 * x.trace())
+
 
 class TestHermEig:
     def test_pauli_spectrum(self):
@@ -265,6 +277,26 @@ class TestReorderAndSerialization:
         y = tl.from_json_dict(tl.to_json_dict(x))
         assert y.space == x.space
         assert np.array_equal(y.mat, x.mat)
+
+    @pytest.mark.parametrize("key", ["labels", "re", "im"])
+    def test_json_missing_field(self, key):
+        data = tl.to_json_dict(random_op(34, [("A", 2)]))
+        del data[key]
+        with pytest.raises(ValueError, match=f"operator lacks {key}"):
+            tl.from_json_dict(data)
+
+    def test_json_re_and_im_of_different_shapes(self):
+        # a (1, 1) im would broadcast, adding it to every entry
+        data = {"labels": [["A", 2]], "re": np.eye(2).tolist(), "im": [[0.5]]}
+        with pytest.raises(ValueError, match=r"operator re is \(2, 2\) but im is \(1, 1\)"):
+            tl.from_json_dict(data)
+
+    @pytest.mark.parametrize("labels", [["A2"], [["A", 2, 1]], [["A", 2.7]]])
+    def test_json_label_that_is_not_a_pair(self, labels):
+        # "A2" would unpack into the factor ("A", 2), and dim 2.7 truncate to 2
+        data = {"labels": labels, "re": np.eye(2).tolist(), "im": np.zeros((2, 2)).tolist()}
+        with pytest.raises(ValueError, match="not \\[name, dim\\] pairs"):
+            tl.from_json_dict(data)
 
     def test_immutability(self):
         x = random_op(1, [("A", 2)])
